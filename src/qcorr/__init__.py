@@ -37,7 +37,6 @@ from .oracles import (
     closest_classical,
     closest_separable_hs,
     closest_separable_trace_xfamily,
-    golden_section_min,
     trace_norm,
 )
 from .quantifiers import (

@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("ConfigError: %s" % exc, file=sys.stderr)
         return 2
-    except OutOfRange as exc:
+    except (OutOfRange, OSError) as exc:  # OSError: unreadable input or unwritable --out
         print("ConfigError: %s" % exc, file=sys.stderr)
         return 2
     except NonPhysical as exc:

@@ -1,9 +1,12 @@
 """Brute-force minimizers over the classical and separable sets.
 
 These oracles validate every closed-form quantifier by direct search: grid
-scans refined by golden-section or zooming sub-grids, with trace distances
-obtained from eigenvalues of the operator difference rather than from any
-r-space shortcut.
+scans refined by zooming sub-grids, with trace distances obtained from
+eigenvalues of the operator difference rather than from any r-space shortcut.
+Both searched functions, ||rho - sigma(t)|| over an axis and
+||rho_X - sigma_X(a, b)||_1 over the coherence moduli, are norms of affine
+maps and hence convex, so a coarse start grid followed by a zoom finds the
+minimum of a dense grid.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from .errors import NumericalFailure
 from .quantifiers import Norm
 from .states import CorrelationVector, XState, bd_to_density
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# points per axis of every zooming sub-grid
+_ZOOM_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -51,28 +55,33 @@ def hs_operator_sq(delta: np.ndarray) -> float:
     return float(np.sum(np.abs(delta) ** 2))
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-8):
-    """Minimize a unimodal scalar function on [a, b].
+def _trace_norms(deltas: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of Hermitian matrices, one batched eigensolve."""
+    try:
+        w = np.linalg.eigvalsh(deltas)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("eigensolve failed: %s" % exc) from exc
+    return np.abs(w).sum(axis=-1)
 
-    Returns (x, f(x), evaluations) once the bracket is narrower than tol.
+
+def _zoom_min(f, best: tuple, value: float, h: float, lo: float, hi: float, refine_to: float):
+    """Refine a grid minimum of the convex function f on the box [lo, hi]^n.
+
+    Each step evaluates f on a sub-grid of _ZOOM_POINTS points per axis and
+    half-width h around the current best point, then shrinks h tenfold, until
+    h <= refine_to.  f takes one coordinate array per axis and returns the
+    values.  Returns (best point, its value, evaluations).
     """
     evals = 0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals += 2
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    x = 0.5 * (a + b)
-    return x, f(x), evals + 1
+    while h > refine_to:
+        axes = [np.clip(np.linspace(c - h, c + h, _ZOOM_POINTS), lo, hi) for c in best]
+        pts = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        vals = f(*pts)
+        evals += len(vals)
+        k = int(np.argmin(vals))
+        best, value = tuple(float(p[k]) for p in pts), float(vals[k])
+        h /= 10.0
+    return best, value, evals
 
 
 def _axis_vector(axis: int, t: float) -> CorrelationVector:
@@ -81,13 +90,13 @@ def _axis_vector(axis: int, t: float) -> CorrelationVector:
     return CorrelationVector(*r)
 
 
-def _axis_density_stack(r: CorrelationVector, axis: int, ts: np.ndarray) -> np.ndarray:
+def _axis_density_stack(base: np.ndarray, axis: int, ts: np.ndarray) -> np.ndarray:
     """Real symmetric stack rho(r) - rho(axis state t) for all t at once.
 
-    Bell-diagonal density matrices are real in the computational basis, so the
-    differences can be diagonalized as real symmetric matrices.
+    base is rho(r) - I/4 (the identity parts cancel).  Bell-diagonal density
+    matrices are real in the computational basis, so the differences can be
+    diagonalized as real symmetric matrices.
     """
-    base = bd_to_density(r).real - np.eye(4) / 4.0  # identity parts cancel
     deltas = np.broadcast_to(base, (len(ts), 4, 4)).copy()
     quarter = ts / 4.0
     if axis == 0:  # sigma1 x sigma1: full anti-diagonal
@@ -108,12 +117,12 @@ def _axis_density_stack(r: CorrelationVector, axis: int, ts: np.ndarray) -> np.n
 def closest_classical(r: CorrelationVector, norm: Norm, grid_step: float = 1e-3) -> OracleResult:
     """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t).
 
-    Scans each axis with a coarse grid and refines the best bracket by
-    golden-section search to 1e-8.  HS distances are squared Euclidean in
-    r-space; trace distances are eigenvalue sums of the operator difference.
+    Scans each axis with a coarse grid and refines the best point by zooming
+    sub-grids to 1e-8.  HS distances are squared Euclidean in r-space;
+    trace distances are eigenvalue sums of the operator difference.
     """
     rv = r.as_array()
-    rho = bd_to_density(r)
+    base = bd_to_density(r).real - np.eye(4) / 4.0
     n_coarse = int(round(2.0 / grid_step)) + 1
     ts = np.linspace(-1.0, 1.0, n_coarse)
     best = None
@@ -125,19 +134,16 @@ def closest_classical(r: CorrelationVector, norm: Norm, grid_step: float = 1e-3)
 
             def f(t, axis=axis, rest=rest):
                 return (rv[axis] - t) ** 2 + rest
-
-            coarse = (rv[axis] - ts) ** 2 + rest
         else:
             def f(t, axis=axis):
-                return trace_norm(rho - bd_to_density(_axis_vector(axis, t)))
+                return _trace_norms(_axis_density_stack(base, axis, t))
 
-            deltas = _axis_density_stack(r, axis, ts)
-            coarse = np.abs(np.linalg.eigvalsh(deltas)).sum(axis=1)
+        coarse = f(ts)
         evals += n_coarse
         k = int(np.argmin(coarse))
-        lo = ts[max(k - 1, 0)]
-        hi = ts[min(k + 1, n_coarse - 1)]
-        t_star, f_star, n = golden_section_min(f, lo, hi)
+        (t_star,), f_star, n = _zoom_min(
+            f, (float(ts[k]),), float(coarse[k]), ts[1] - ts[0], -1.0, 1.0, 1e-8
+        )
         evals += n
         if best is None or f_star < best[0]:
             best = (f_star, axis, t_star)
@@ -181,37 +187,25 @@ def _phase(z: complex) -> complex:
     return z / abs(z) if abs(z) > 0.0 else 1.0 + 0.0j
 
 
-def _xdiff_trace_norms(
-    abs_e: float,
-    abs_f: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    diag_delta: np.ndarray | None = None,
-) -> np.ndarray:
+def _xdiff_trace_norms(abs_e: float, abs_f: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched trace norms of rho_X - sigma_X over candidate moduli (a, b).
 
     With the candidate phases aligned to e and f, conjugation by a diagonal
     phase unitary turns every difference into a real symmetric matrix with
     anti-diagonal entries |e| - a and |f| - b, leaving eigenvalues unchanged.
-    diag_delta, when given, is the shared population difference of the stack.
     """
-    n = len(a)
-    deltas = np.zeros((n, 4, 4))
+    deltas = np.zeros((len(a), 4, 4))
     de = abs_e - a
     df = abs_f - b
     deltas[:, 0, 3] = de
     deltas[:, 3, 0] = de
     deltas[:, 1, 2] = df
     deltas[:, 2, 1] = df
-    if diag_delta is not None:
-        for k in range(4):
-            deltas[:, k, k] = diag_delta[k]
-    w = np.linalg.eigvalsh(deltas)
-    return np.abs(w).sum(axis=1)
+    return _trace_norms(deltas)
 
 
 def closest_separable_trace_xfamily(
-    x: XState, n_grid: int = 200, refine_to: float = 1e-7
+    x: XState, n_grid: int = 21, refine_to: float = 1e-7
 ) -> OracleResult:
     """Trace-norm closest separable X state with the same populations.
 
@@ -223,27 +217,23 @@ def closest_separable_trace_xfamily(
     abs_e, abs_f = abs(x.e), abs(x.f)
     evals = 0
 
+    def f(a, b):
+        return _xdiff_trace_norms(abs_e, abs_f, a, b)
+
     if m == 0.0:
         best_a = best_f = 0.0
     else:
         ga = np.linspace(0.0, m, n_grid)
         aa, bb = np.meshgrid(ga, ga, indexing="ij")
         flat_a, flat_b = aa.ravel(), bb.ravel()
-        vals = _xdiff_trace_norms(abs_e, abs_f, flat_a, flat_b)
+        vals = f(flat_a, flat_b)
         evals += len(vals)
         k = int(np.argmin(vals))
-        best_a, best_f = float(flat_a[k]), float(flat_b[k])
-        h = m / (n_grid - 1)
-        while h > refine_to:
-            ga = np.clip(np.linspace(best_a - h, best_a + h, 21), 0.0, m)
-            gb = np.clip(np.linspace(best_f - h, best_f + h, 21), 0.0, m)
-            aa, bb = np.meshgrid(ga, gb, indexing="ij")
-            flat_a, flat_b = aa.ravel(), bb.ravel()
-            vals = _xdiff_trace_norms(abs_e, abs_f, flat_a, flat_b)
-            evals += len(vals)
-            k = int(np.argmin(vals))
-            best_a, best_f = float(flat_a[k]), float(flat_b[k])
-            h /= 10.0
+        start = (float(flat_a[k]), float(flat_b[k]))
+        (best_a, best_f), _, n = _zoom_min(
+            f, start, float(vals[k]), m / (n_grid - 1), 0.0, m, refine_to
+        )
+        evals += n
 
     cand = SeparableXCandidate(
         e_prime=_phase(x.e) * best_a, f_prime=_phase(x.f) * best_f
@@ -261,37 +251,3 @@ def clamped_minimizer(x: XState) -> SeparableXCandidate:
         e_prime=_phase(x.e) * min(abs(x.e), m),
         f_prime=_phase(x.f) * min(abs(x.f), m),
     )
-
-
-def wider_separable_search(
-    x: XState, rng: np.random.Generator, n_diagonals: int = 200, n_grid: int = 41
-) -> OracleResult:
-    """Exploratory search over separable X states with *free* diagonals.
-
-    The defined quantity fixes the candidate populations to those of x; this
-    search samples other population vectors (uniform on the simplex, plus the
-    original) and optimizes the coherences inside each PPT-feasible box.  It
-    is reported for information only.
-    """
-    own = np.array([x.a, x.b, x.c, x.d])
-    best: tuple[float, SeparableXCandidate] | None = None
-    evals = 0
-    diags = [own]
-    diags.extend(rng.dirichlet(np.ones(4), size=n_diagonals))
-    for diag in diags:
-        a, b, c, d = (float(v) for v in diag)
-        m = min(math.sqrt(max(a * d, 0.0)), math.sqrt(max(b * c, 0.0)))
-        ge = np.linspace(0.0, m, n_grid)
-        aa, bb = np.meshgrid(ge, ge, indexing="ij")
-        flat_a, flat_b = aa.ravel(), bb.ravel()
-        vals = _xdiff_trace_norms(abs(x.e), abs(x.f), flat_a, flat_b, diag_delta=own - diag)
-        evals += len(vals)
-        k = int(np.argmin(vals))
-        if best is None or vals[k] < best[0]:
-            best = (
-                float(vals[k]),
-                SeparableXCandidate(
-                    _phase(x.e) * float(flat_a[k]), _phase(x.f) * float(flat_b[k])
-                ),
-            )
-    return OracleResult(minimizer=best[1], distance=best[0], evaluations=evals)

@@ -55,12 +55,16 @@ class CorrelationVector:
         object.__setattr__(self, "r1", float(self.r1))
         object.__setattr__(self, "r2", float(self.r2))
         object.__setattr__(self, "r3", float(self.r3))
-        lams = bell_eigenvalues(self.r1, self.r2, self.r3)
-        lmin = min(lams)
-        if lmin < -EPS_PSD:
+        l0, l1, l2, l3 = bell_eigenvalues(self.r1, self.r2, self.r3)
+        # Negated comparisons, so that NaN (from NaN or infinite r) fails them.
+        if not (l0 >= -EPS_PSD and l1 >= -EPS_PSD and l2 >= -EPS_PSD and l3 >= -EPS_PSD):
+            if not all(np.isfinite((self.r1, self.r2, self.r3))):
+                raise NonPhysical(
+                    "correlation vector (%g, %g, %g) is not finite" % (self.r1, self.r2, self.r3)
+                )
             raise NonPhysical(
                 "eigenvalue %.6g of correlation vector (%g, %g, %g) is negative"
-                % (lmin, self.r1, self.r2, self.r3)
+                % (min(l0, l1, l2, l3), self.r1, self.r2, self.r3)
             )
 
     def as_array(self) -> np.ndarray:
@@ -108,15 +112,17 @@ class XState:
         object.__setattr__(self, "e", complex(self.e))
         object.__setattr__(self, "f", complex(self.f))
         pops = (self.a, self.b, self.c, self.d)
-        if min(pops) < -EPS_PSD:
+        # Negated comparisons, so that NaN fails them; an infinite population
+        # fails the sum check.
+        if not min(pops) >= -EPS_PSD:
             raise NonPhysical("population %.6g is negative" % min(pops))
-        if abs(sum(pops) - 1.0) > 1e-9:
+        if not abs(sum(pops) - 1.0) <= 1e-9:
             raise NonPhysical("populations sum to %.12g, expected 1" % sum(pops))
-        if abs(self.e) > np.sqrt(max(self.a * self.d, 0.0)) + EPS_PSD:
+        if not abs(self.e) <= np.sqrt(max(self.a * self.d, 0.0)) + EPS_PSD:
             raise NonPhysical(
                 "|e| = %.6g exceeds sqrt(a*d) = %.6g" % (abs(self.e), np.sqrt(max(self.a * self.d, 0.0)))
             )
-        if abs(self.f) > np.sqrt(max(self.b * self.c, 0.0)) + EPS_PSD:
+        if not abs(self.f) <= np.sqrt(max(self.b * self.c, 0.0)) + EPS_PSD:
             raise NonPhysical(
                 "|f| = %.6g exceeds sqrt(b*c) = %.6g" % (abs(self.f), np.sqrt(max(self.b * self.c, 0.0)))
             )
@@ -155,10 +161,10 @@ def validate_density(rho: np.ndarray, eps: float = EPS_PSD) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NonPhysical("expected a 4x4 matrix, got shape %s" % (rho.shape,))
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
         raise NonPhysical("matrix is not Hermitian within 1e-12")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-12:
+    if not abs(tr - 1.0) <= 1e-12:
         raise NonPhysical("trace is %.15g, expected 1" % tr)
     lmin = float(np.linalg.eigvalsh(rho)[0])
     if lmin < -eps:

@@ -9,8 +9,6 @@ seed and sizes is byte-identical.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from .oracles import (
     closest_separable_hs,
     closest_separable_trace_xfamily,
     trace_norm,
-    wider_separable_search,
 )
 from .quantifiers import (
     Norm,
@@ -32,7 +29,7 @@ from .quantifiers import (
 )
 from .sampling import DEFAULT_SEED, random_entangled_xstate, random_xstate
 from .states import CorrelationVector, XState
-from .errors import NonPhysical
+from .errors import NonPhysical, OutOfRange
 
 TOLERANCES = {
     "hs_discord_vs_closest_classical": 1e-6,
@@ -58,24 +55,10 @@ def physical_grid(n: int) -> list[CorrelationVector]:
     return out
 
 
-def _threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("QCORR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _check(measure, deviations, states, evaluations) -> dict:
     tol = TOLERANCES[measure]
-    worst = int(np.argmax(deviations)) if deviations else 0
-    max_dev = float(deviations[worst]) if deviations else 0.0
+    worst = int(np.argmax(deviations))
+    max_dev = float(deviations[worst])
     state = states[worst]
     return {
         "measure": measure,
@@ -92,9 +75,7 @@ def run_verification(
     grid: int = 9,
     n_xstates: int = 1000,
     n_wootters: int = 10000,
-    threads: int | None = None,
     mutate: bool = False,
-    experiment_states: int = 5,
     extra_xstate: XState | None = None,
 ) -> dict:
     """Run the full oracle suite and return the report dictionary.
@@ -103,7 +84,9 @@ def run_verification(
     detects a broken formula; extra_xstate adds one user-supplied state to the
     trace-distance/concurrence identity check.
     """
-    threads = _threads_from_env() if threads is None else max(1, threads)
+    for name, size in (("grid", grid), ("xstates", n_xstates), ("wootters", n_wootters)):
+        if size < 1:
+            raise OutOfRange("%s: size %d is below 1" % (name, size))
     bump = 1e-3 if mutate else 0.0
     states = physical_grid(grid)
     report: dict = {"seed": int(seed), "grid": int(grid), "checks": []}
@@ -112,21 +95,21 @@ def run_verification(
         res = closest_classical(r, Norm.HS)
         return abs(res.distance - (hs_discord(r).value + bump)), res.evaluations
 
-    devs, evs = zip(*_map(hs_cls, states, threads))
+    devs, evs = zip(*map(hs_cls, states))
     report["checks"].append(_check("hs_discord_vs_closest_classical", devs, states, sum(evs)))
 
     def hs_sep(r):
         res = closest_separable_hs(r)
         return abs(res.distance - hs_entanglement(r).value), res.evaluations
 
-    devs, evs = zip(*_map(hs_sep, states, threads))
+    devs, evs = zip(*map(hs_sep, states))
     report["checks"].append(_check("hs_entanglement_vs_closest_separable", devs, states, sum(evs)))
 
     def tr_cls(r):
         res = closest_classical(r, Norm.TRACE)
         return abs(res.distance - trace_discord(r).value), res.evaluations
 
-    devs, evs = zip(*_map(tr_cls, states, threads))
+    devs, evs = zip(*map(tr_cls, states))
     report["checks"].append(_check("trace_discord_vs_closest_classical", devs, states, sum(evs)))
 
     rng = np.random.default_rng(seed)
@@ -138,7 +121,7 @@ def run_verification(
         res = closest_separable_trace_xfamily(x)
         return abs(res.distance - concurrence_x(x).value), res.evaluations
 
-    devs, evs = zip(*_map(xfam, xstates, threads))
+    devs, evs = zip(*map(xfam, xstates))
     report["checks"].append(_check("xfamily_oracle_vs_concurrence", devs, xstates, sum(evs)))
 
     def clamped(x):
@@ -147,7 +130,7 @@ def run_verification(
         dist = trace_norm(x.to_density() - sigma.to_density())
         return abs(dist - concurrence_x(x).value), 1
 
-    devs, evs = zip(*_map(clamped, xstates, threads))
+    devs, evs = zip(*map(clamped, xstates))
     report["checks"].append(_check("clamped_minimizer_vs_concurrence", devs, xstates, sum(evs)))
 
     wstates = [random_xstate(rng) for _ in range(n_wootters)]
@@ -155,21 +138,8 @@ def run_verification(
     def woot(x):
         return abs(wootters_concurrence(x.to_density()) - concurrence_x(x).value), 1
 
-    devs, evs = zip(*_map(woot, wstates, threads))
+    devs, evs = zip(*map(woot, wstates))
     report["checks"].append(_check("wootters_vs_concurrence_x", devs, wstates, sum(evs)))
-
-    if experiment_states > 0:
-        # Informational only: how far a search over *free* diagonals can get
-        # below the same-population optimum (which defines the quantifier).
-        shortfall = 0.0
-        for x in xstates[:experiment_states]:
-            res = wider_separable_search(x, rng, n_diagonals=60, n_grid=21)
-            shortfall = max(shortfall, concurrence_x(x).value - res.distance)
-        report["experiment_free_diagonals"] = {
-            "states": int(experiment_states),
-            "max_below_same_population_optimum": float(shortfall),
-            "note": "same-population optimum is the defined quantity",
-        }
 
     report["all_pass"] = bool(all(c["pass"] for c in report["checks"]))
     return report

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import REF
 from qcorr.cli import main
@@ -45,6 +46,28 @@ def test_simulate_nonphysical_exit3(tmp_path, capsys):
     assert code == 3
     assert stderr.startswith("NonPhysical: eigenvalue -0.25")
     assert stderr.count("\n") == 1
+
+
+def test_simulate_nan_state_exit3(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, stderr = run(
+        capsys, "simulate", "--channel", "pd", "--state", "nan,0,0", "--out", str(out)
+    )
+    assert code == 3
+    assert stderr.startswith("NonPhysical:") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unwritable_out_exit2(tmp_path, capsys):
+    missing = tmp_path / "nodir"
+    for argv in (
+        ("simulate", "--channel", "pd", "--state", STATE, "--out", str(missing / "x.csv")),
+        ("verify", "--grid", "3", "--xstates", "2", "--wootters", "10",
+         "--out", str(missing / "r.json")),
+    ):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
 
 
 def test_simulate_depol_no_sudden_changes(tmp_path, capsys):
@@ -171,3 +194,15 @@ def test_verify_mutation_exit5(tmp_path, capsys):
         "--wootters", "20", "--mutate", "--out", str(tmp_path / "v.json"),
     )
     assert code == 5 and stderr.startswith("VerifyFailure:")
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [("--grid", "3", "--xstates", "0", "--wootters", "10"),
+     ("--grid", "3", "--xstates", "2", "--wootters", "0"),
+     ("--grid", "0", "--xstates", "2", "--wootters", "10")],
+)
+def test_verify_empty_sizes_exit2(sizes, tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "verify", *sizes, "--out", str(tmp_path / "v.json"))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1

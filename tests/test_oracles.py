@@ -7,14 +7,12 @@ from qcorr.oracles import (
     closest_classical,
     closest_separable_hs,
     closest_separable_trace_xfamily,
-    golden_section_min,
     hs_operator_sq,
     trace_norm,
-    wider_separable_search,
 )
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
 from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate
-from qcorr.verify import physical_grid
+from qcorr.verify import TOLERANCES, physical_grid
 
 
 def test_trace_norm_examples():
@@ -22,11 +20,6 @@ def test_trace_norm_examples():
     assert trace_norm(np.diag([0.5, -0.5, 0.0, 0.0])) == 1.0
     bell = bd_to_density(CorrelationVector(1, 1, -1))
     np.testing.assert_allclose(trace_norm(bell - np.eye(4) / 4), 1.5, atol=1e-14)
-
-
-def test_golden_section():
-    x, fx, n = golden_section_min(lambda t: (t - 0.3) ** 2 + 1, -1, 1)
-    assert abs(x - 0.3) < 1e-7 and abs(fx - 1) < 1e-12 and n > 10
 
 
 def test_hs_operator_norm_is_quarter_of_vector_norm():
@@ -127,10 +120,21 @@ def test_classical_oracle_property(r):
     )
 
 
-def test_wider_search_bounds():
-    rng = np.random.default_rng(3)
-    x = bd_to_xstate(CorrelationVector(*REF))
-    res = wider_separable_search(x, rng, n_diagonals=40, n_grid=15)
-    # grid-resolution search: bounded above by the zero-coherence candidate
-    assert 0.0 <= res.distance <= 2 * (abs(x.e) + abs(x.f)) + 1e-12
-    assert res.evaluations == 41 * 15 * 15
+@settings(max_examples=25)
+@given(physical_vectors())
+def test_trace_classical_oracle_property(r):
+    np.testing.assert_allclose(
+        closest_classical(r, Norm.TRACE).distance,
+        trace_discord(r).value,
+        atol=TOLERANCES["trace_discord_vs_closest_classical"],
+    )
+
+
+@settings(max_examples=25)
+@given(xstates().filter(lambda x: concurrence_x(x).value > 0.0))
+def test_xfamily_oracle_property(x):
+    np.testing.assert_allclose(
+        closest_separable_trace_xfamily(x).distance,
+        concurrence_x(x).value,
+        atol=TOLERANCES["xfamily_oracle_vs_concurrence"],
+    )

@@ -40,9 +40,23 @@ def test_reference_state_physical():
     validate_density(rho)
 
 
+def test_validate_density_rejects_nan():
+    rho = bd_to_density(CorrelationVector(*REF))
+    with pytest.raises(NonPhysical):
+        validate_density(np.where(np.eye(4) == 1, np.nan, rho))
+
+
 def test_nonphysical_raises_with_eigenvalue():
     with pytest.raises(NonPhysical, match="eigenvalue -0.25"):
         CorrelationVector(2, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "r", [(np.nan, 0, 0), (np.inf, 0, 0), (np.inf, -np.inf, np.inf), (0, np.nan, np.inf)]
+)
+def test_non_finite_vector_raises(r):
+    with pytest.raises(NonPhysical, match="not finite"):
+        CorrelationVector(*r)
 
 
 def test_marginals_maximally_mixed():
@@ -127,6 +141,10 @@ def test_xstate_invariants():
         XState(0.25, 0.25, 0.25, 0.25, 0.3, 0)
     with pytest.raises(NonPhysical, match="sum"):
         XState(0.5, 0.5, 0.5, 0.5, 0, 0)
+    for bad in ((np.nan, 0.5, 0.25, 0.25, 0, 0), (0.25, 0.25, 0.25, 0.25, np.nan, 0),
+                (0.25, 0.25, 0.25, 0.25, 0, complex(np.inf, 0))):
+        with pytest.raises(NonPhysical):
+            XState(*bad)
 
 
 def test_json_round_trips():
