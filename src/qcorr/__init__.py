@@ -44,23 +44,20 @@ from .quantifiers import (
     Norm,
     QuantifierValue,
     concurrence_x,
+    hs_axis_distances,
     hs_discord,
     hs_entanglement,
     trace_discord,
-    trace_entanglement,
     wootters_concurrence,
 )
 from .relations import (
     CriticalTimes,
     RelationCase,
     critical_times,
-    hs_branch_at,
     hs_discord_from_entanglement,
     ordering,
-    piecewise_discord_pd_trace,
     sudden_death_time,
     trace_discord_from_concurrence,
-    trace_piece_at,
 )
 from .states import (
     CorrelationVector,

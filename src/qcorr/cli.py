@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .channels import parse_channel_spec
-from .dynamics import d_vs_e_curve, run_trajectory
+from .dynamics import SUDDEN_CHANGE, d_vs_e_curve, run_trajectory
 from .errors import EmptyWindow, NonPhysical, OutOfRange, QcorrError
 from .quantifiers import Norm
 from .relations import RelationCase, is_extrapolated_piece
@@ -96,12 +96,6 @@ def _channel_kind(args, allow_fixed_p: bool = False):
     return kind
 
 
-def _norm_of(args) -> Norm:
-    if args.norm == "both":
-        raise ConfigError("norm: this command requires --norm hs or --norm trace")
-    return Norm(args.norm)
-
-
 def _write_events(traj, out_csv: str):
     events = [
         {
@@ -147,7 +141,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_relate(args) -> int:
     kind = _channel_kind(args)
-    norm = _norm_of(args)
+    norm = Norm(args.norm)
     r0 = _initial_state(args)
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
     curve = d_vs_e_curve(traj, norm)
@@ -158,7 +152,7 @@ def cmd_relate(args) -> int:
         lines.append("%s,%s,%s,%s" % (_fmt(ent), _fmt(disc), branch, "true" if extra else "false"))
     Path(args.out).write_text("\n".join(lines) + "\n")
     for e in traj.event_records:
-        if e.kind == "SuddenChangeDiscord" and e.norm is norm:
+        if e.kind == SUDDEN_CHANGE and e.norm is norm:
             print("kink p=%s" % _fmt(e.p_detected))
     return 0
 
@@ -180,6 +174,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise ConfigError("out: directory of %r does not exist" % args.out)
     extra = _load_xstate(args.xstate) if args.xstate is not None else None
     report = run_verification(
         seed=args.seed,
@@ -214,15 +210,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qcorr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, with_norm=True):
+    def add_common(p):
         p.add_argument("--channel", required=True, help="pd | bf | bpf | pf | depol")
         p.add_argument("--state", help="correlation vector r1,r2,r3")
         p.add_argument("--xstate", help="path to an X-state JSON file")
-        if with_norm:
-            p.add_argument("--norm", choices=["hs", "trace", "both"], default="both")
         p.add_argument("--pmax", type=float, default=1.0)
         p.add_argument("--samples", type=int, default=1001)
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", required=True, help="output CSV path")
 
     p_sim = sub.add_parser("simulate", help="trajectory CSV plus detected events")
@@ -231,10 +224,11 @@ def build_parser() -> _Parser:
 
     p_rel = sub.add_parser("relate", help="(E, D) pairs for one norm")
     add_common(p_rel)
+    p_rel.add_argument("--norm", required=True, choices=["hs", "trace"])
     p_rel.set_defaults(func=cmd_relate)
 
     p_cur = sub.add_parser("curve", help="discord-vs-entanglement data, both norms")
-    add_common(p_cur, with_norm=False)
+    add_common(p_cur)
     p_cur.set_defaults(func=cmd_curve)
 
     p_ver = sub.add_parser("verify", help="oracle-vs-closed-form verification report")

@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind, evolved_vector
-from .errors import EmptyWindow, OutOfRange
+from .errors import DegenerateOrdering, EmptyWindow, NotEntangled, OutOfRange
 from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
     Norm,
     concurrence_x,
+    hs_axis_distances,
     hs_discord,
     hs_entanglement,
     trace_discord,
 )
-from .relations import CriticalTimes, RelationCase, critical_times
-from .errors import DegenerateOrdering
+from .relations import RelationCase, critical_times, sudden_death_time
 from .states import CorrelationVector, bd_to_density, bd_to_xstate
 
 SUDDEN_CHANGE = "SuddenChangeDiscord"
@@ -61,26 +61,6 @@ class Trajectory:
     samples: list[TrajectorySample]
     event_records: list[EventRecord] = field(default_factory=list)
 
-    @property
-    def events(self) -> dict[Norm, CriticalTimes]:
-        """Detected critical times per norm, assembled from the event records."""
-        out = {}
-        for norm in (Norm.HS, Norm.TRACE):
-            changes = tuple(
-                sorted(
-                    e.p_detected
-                    for e in self.event_records
-                    if e.kind == SUDDEN_CHANGE and e.norm is norm
-                )
-            )
-            deaths = [
-                e.p_detected
-                for e in self.event_records
-                if e.kind == SUDDEN_DEATH and e.norm is norm
-            ]
-            out[norm] = CriticalTimes(changes, deaths[0] if deaths else None)
-        return out
-
     def death_p(self) -> float | None:
         for e in self.event_records:
             if e.kind == SUDDEN_DEATH:
@@ -99,18 +79,6 @@ def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _hs_branch_value(channel, r0, label: str, p: float) -> float:
-    rv = evolved_vector(channel, r0, p)
-    comps = (rv.r1, rv.r2, rv.r3)
-    i = int(label[1]) - 1
-    return sum(comps[k] ** 2 for k in range(3) if k != i)
-
-
-def _tr_branch_value(channel, r0, label: str, p: float) -> float:
-    rv = evolved_vector(channel, r0, p)
-    return abs((rv.r1, rv.r2, rv.r3)[int(label[1]) - 1])
 
 
 def _match_analytic(p: float, candidates) -> float | None:
@@ -162,25 +130,28 @@ def run_trajectory(
             )
         )
 
-    analytic: dict[Norm, CriticalTimes] = {}
-    for norm in (Norm.HS, Norm.TRACE):
-        try:
-            analytic[norm] = critical_times(RelationCase(channel, norm, r0))
-        except DegenerateOrdering:
-            analytic[norm] = CriticalTimes((), None)
-
+    try:
+        death = sudden_death_time(channel, r0)
+    except NotEntangled:
+        death = None
     records: list[EventRecord] = []
-    for norm, label_of, value_of in (
-        (Norm.HS, lambda s: s.branch_hs, _hs_branch_value),
-        (Norm.TRACE, lambda s: s.branch_tr, _tr_branch_value),
+    for norm, label_of, values_of in (
+        (Norm.HS, lambda s: s.branch_hs, hs_axis_distances),
+        (Norm.TRACE, lambda s: s.branch_tr, CorrelationVector.abs_triple),
     ):
+        try:
+            changes = critical_times(RelationCase(channel, norm, r0)).sudden_changes
+        except DegenerateOrdering:
+            changes = ()
         for a, b in zip(samples, samples[1:]):
             la, lb = label_of(a), label_of(b)
             if la == lb:
                 continue
+            i, j = int(la[1]) - 1, int(lb[1]) - 1
 
-            def f(p, la=la, lb=lb):
-                return value_of(channel, r0, lb, p) - value_of(channel, r0, la, p)
+            def f(p, values_of=values_of, i=i, j=j):
+                v = values_of(evolved_vector(channel, r0, p))
+                return v[j] - v[i]
 
             fa, fb = f(a.p), f(b.p)
             if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
@@ -192,24 +163,25 @@ def run_trajectory(
                     kind=SUDDEN_CHANGE,
                     norm=norm,
                     p_detected=p_star,
-                    p_analytic=_match_analytic(p_star, analytic[norm].sudden_changes),
+                    p_analytic=_match_analytic(p_star, changes),
                 )
             )
 
     def margin(p: float) -> float:
         return sum(evolved_vector(channel, r0, p).abs_triple()) - 1.0
 
-    if margin(0.0) > 0.0:
-        for a, b in zip(samples, samples[1:]):
-            if margin(a.p) > 0.0 >= margin(b.p):
-                p_star = _bisect(margin, a.p, b.p, tol=1e-12)
+    margins = [sum(s.r.abs_triple()) - 1.0 for s in samples]
+    if margins[0] > 0.0:
+        for k in range(len(samples) - 1):
+            if margins[k] > 0.0 >= margins[k + 1]:
+                p_star = _bisect(margin, samples[k].p, samples[k + 1].p, tol=1e-12)
                 for norm in (Norm.HS, Norm.TRACE):
                     records.append(
                         EventRecord(
                             kind=SUDDEN_DEATH,
                             norm=norm,
                             p_detected=p_star,
-                            p_analytic=analytic[norm].sudden_death,
+                            p_analytic=death,
                         )
                     )
                 break  # only the first downward crossing counts as death

@@ -1,12 +1,12 @@
 """Brute-force minimizers over the classical and separable sets.
 
-These oracles validate every closed-form quantifier by direct search: grid
-scans refined by zooming sub-grids, with trace distances obtained from
-eigenvalues of the operator difference rather than from any r-space shortcut.
-Both searched functions, ||rho - sigma(t)|| over an axis and
-||rho_X - sigma_X(a, b)||_1 over the coherence moduli, are norms of affine
-maps and hence convex, so a coarse start grid followed by a zoom finds the
-minimum of a dense grid.
+These oracles validate every closed-form quantifier by direct search: a
+grid over the whole search box refined by zooming sub-grids, with trace
+distances obtained from eigenvalues of the operator difference rather than
+from any r-space shortcut.  Both searched functions, ||rho - sigma(t)|| over
+an axis and ||rho_X - sigma_X(a, b)||_1 over the coherence moduli, are norms
+of affine maps and hence convex, so a coarse start grid followed by a zoom
+finds the minimum of a dense grid.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import NumericalFailure
 from .quantifiers import Norm
 from .states import CorrelationVector, XState, bd_to_density
 
-# points per axis of every zooming sub-grid
-_ZOOM_POINTS = 21
+# points per axis of every search grid
+_GRID_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,28 @@ def _trace_norms(deltas: np.ndarray) -> np.ndarray:
     return np.abs(w).sum(axis=-1)
 
 
-def _zoom_min(f, best: tuple, value: float, h: float, lo: float, hi: float, refine_to: float):
-    """Refine a grid minimum of the convex function f on the box [lo, hi]^n.
+def _grid_min(f, lo: float, hi: float, dims: int, refine_to: float):
+    """Minimize the convex function f on the box [lo, hi]^dims by grid zoom.
 
-    Each step evaluates f on a sub-grid of _ZOOM_POINTS points per axis and
-    half-width h around the current best point, then shrinks h tenfold, until
-    h <= refine_to.  f takes one coordinate array per axis and returns the
-    values.  Returns (best point, its value, evaluations).
+    The first grid of _GRID_POINTS points per axis spans the whole box.  Each
+    later grid is centred on the best point so far with a tenth of the
+    previous half-width, until the half-width is at most refine_to.  f takes
+    one coordinate array per axis and returns the values.  Returns
+    (best point, its value, evaluations).
     """
+    best = ((lo + hi) / 2.0,) * dims
+    h = (hi - lo) / 2.0
     evals = 0
-    while h > refine_to:
-        axes = [np.clip(np.linspace(c - h, c + h, _ZOOM_POINTS), lo, hi) for c in best]
+    while True:
+        axes = [np.clip(np.linspace(c - h, c + h, _GRID_POINTS), lo, hi) for c in best]
         pts = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
         vals = f(*pts)
         evals += len(vals)
         k = int(np.argmin(vals))
         best, value = tuple(float(p[k]) for p in pts), float(vals[k])
         h /= 10.0
-    return best, value, evals
+        if h <= refine_to:
+            return best, value, evals
 
 
 def _axis_vector(axis: int, t: float) -> CorrelationVector:
@@ -114,17 +118,15 @@ def _axis_density_stack(base: np.ndarray, axis: int, ts: np.ndarray) -> np.ndarr
     return deltas
 
 
-def closest_classical(r: CorrelationVector, norm: Norm, grid_step: float = 1e-3) -> OracleResult:
+def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:
     """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t).
 
-    Scans each axis with a coarse grid and refines the best point by zooming
-    sub-grids to 1e-8.  HS distances are squared Euclidean in r-space;
-    trace distances are eigenvalue sums of the operator difference.
+    Searches each axis t in [-1, 1] by grid zoom to 1e-8.  HS distances are
+    squared Euclidean in r-space; trace distances are eigenvalue sums of the
+    operator difference.
     """
     rv = r.as_array()
     base = bd_to_density(r).real - np.eye(4) / 4.0
-    n_coarse = int(round(2.0 / grid_step)) + 1
-    ts = np.linspace(-1.0, 1.0, n_coarse)
     best = None
     evals = 0
 
@@ -138,12 +140,7 @@ def closest_classical(r: CorrelationVector, norm: Norm, grid_step: float = 1e-3)
             def f(t, axis=axis):
                 return _trace_norms(_axis_density_stack(base, axis, t))
 
-        coarse = f(ts)
-        evals += n_coarse
-        k = int(np.argmin(coarse))
-        (t_star,), f_star, n = _zoom_min(
-            f, (float(ts[k]),), float(coarse[k]), ts[1] - ts[0], -1.0, 1.0, 1e-8
-        )
+        (t_star,), f_star, n = _grid_min(f, -1.0, 1.0, 1, 1e-8)
         evals += n
         if best is None or f_star < best[0]:
             best = (f_star, axis, t_star)
@@ -204,14 +201,12 @@ def _xdiff_trace_norms(abs_e: float, abs_f: float, a: np.ndarray, b: np.ndarray)
     return _trace_norms(deltas)
 
 
-def closest_separable_trace_xfamily(
-    x: XState, n_grid: int = 21, refine_to: float = 1e-7
-) -> OracleResult:
+def closest_separable_trace_xfamily(x: XState) -> OracleResult:
     """Trace-norm closest separable X state with the same populations.
 
-    Grid search over the candidate moduli (|e'|, |f'|) in
-    [0, min(sqrt(ad), sqrt(bc))]^2, refined by zooming sub-grids; candidate
-    phases are aligned with e and f, where the minimum is attained.
+    Grid zoom to 1e-7 over the candidate moduli (|e'|, |f'|) in
+    [0, min(sqrt(ad), sqrt(bc))]^2; candidate phases are aligned with e and
+    f, where the minimum is attained.
     """
     m = min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
     abs_e, abs_f = abs(x.e), abs(x.f)
@@ -223,17 +218,7 @@ def closest_separable_trace_xfamily(
     if m == 0.0:
         best_a = best_f = 0.0
     else:
-        ga = np.linspace(0.0, m, n_grid)
-        aa, bb = np.meshgrid(ga, ga, indexing="ij")
-        flat_a, flat_b = aa.ravel(), bb.ravel()
-        vals = f(flat_a, flat_b)
-        evals += len(vals)
-        k = int(np.argmin(vals))
-        start = (float(flat_a[k]), float(flat_b[k]))
-        (best_a, best_f), _, n = _zoom_min(
-            f, start, float(vals[k]), m / (n_grid - 1), 0.0, m, refine_to
-        )
-        evals += n
+        (best_a, best_f), _, evals = _grid_min(f, 0.0, m, 2, 1e-7)
 
     cand = SeparableXCandidate(
         e_prime=_phase(x.e) * best_a, f_prime=_phase(x.f) * best_f

@@ -27,7 +27,6 @@ class Measure(enum.Enum):
     HS_DISCORD = "hs_discord"
     HS_ENTANGLEMENT = "hs_entanglement"
     TRACE_DISCORD = "trace_discord"
-    TRACE_ENTANGLEMENT = "trace_entanglement"
     CONCURRENCE = "concurrence"
 
 
@@ -38,17 +37,22 @@ class QuantifierValue:
     branch: str | None = None
 
 
-def hs_discord(r: CorrelationVector) -> QuantifierValue:
-    """Squared Euclidean distance from (r1, r2, r3) to the closest Cartesian axis.
-
-    D = min_i D_i with D_i = r_j^2 + r_k^2 (j, k != i); the branch records the
-    attained axis, lowest index on ties.
-    """
-    d = (
+def hs_axis_distances(r: CorrelationVector) -> tuple[float, float, float]:
+    """Branch values D_i = r_j^2 + r_k^2 (j, k != i): squared distances to the axes."""
+    return (
         r.r2 * r.r2 + r.r3 * r.r3,
         r.r1 * r.r1 + r.r3 * r.r3,
         r.r1 * r.r1 + r.r2 * r.r2,
     )
+
+
+def hs_discord(r: CorrelationVector) -> QuantifierValue:
+    """Squared Euclidean distance from (r1, r2, r3) to the closest Cartesian axis.
+
+    D = min_i D_i over hs_axis_distances; the branch records the attained
+    axis, lowest index on ties.
+    """
+    d = hs_axis_distances(r)
     i = min(range(3), key=lambda k: (d[k], k))
     return QuantifierValue(Measure.HS_DISCORD, d[i], "D%d" % (i + 1))
 
@@ -85,16 +89,6 @@ def concurrence_x(x: XState) -> QuantifierValue:
         return QuantifierValue(Measure.CONCURRENCE, 0.0, None)
     branch = "C1" if t1 >= t2 else "C2"
     return QuantifierValue(Measure.CONCURRENCE, 2.0 * best, branch)
-
-
-def trace_entanglement(x: XState) -> QuantifierValue:
-    """Trace-norm geometric entanglement of an X state.
-
-    The trace distance to the closest separable X state with the same
-    populations equals the concurrence, so the value and branch are shared.
-    """
-    c = concurrence_x(x)
-    return QuantifierValue(Measure.TRACE_ENTANGLEMENT, c.value, c.branch)
 
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)

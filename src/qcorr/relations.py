@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .channels import (
-    PRESERVED_AXIS,
-    ChannelKind,
-    evolved_vector,
-    inverse_decay_p,
-)
+from .channels import ChannelKind, evolved_vector, inverse_decay_p
 from .errors import (
     BranchUnknown,
     DegenerateOrdering,
@@ -30,7 +25,7 @@ from .errors import (
     OutOfRange,
     WindowViolation,
 )
-from .quantifiers import Norm, concurrence_x, hs_discord, trace_discord
+from .quantifiers import Norm, concurrence_x, hs_axis_distances
 from .states import CorrelationVector, bd_to_xstate
 
 _ORDER_TOL = 1e-12
@@ -137,16 +132,6 @@ def critical_times(case: RelationCase) -> CriticalTimes:
     return CriticalTimes(sudden_changes=tuple(sorted(changes)), sudden_death=death)
 
 
-def hs_branch_at(case: RelationCase, p: float) -> str:
-    """Active HS-discord branch along the trajectory at probability p."""
-    return hs_discord(evolved_vector(case.channel, case.initial, p)).branch
-
-
-def trace_piece_at(case: RelationCase, p: float) -> str:
-    """Component attaining the intermediate value at probability p."""
-    return trace_discord(evolved_vector(case.channel, case.initial, p)).branch
-
-
 def is_extrapolated_piece(case: RelationCase, p: float) -> bool:
     """True on the post-sudden-change segment of the single-change trace case,
     whose D(C) form is obtained by the same substitution but has no stated
@@ -211,12 +196,9 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
         g = (root - s[2] + 1.0) / (s[0] + s[1])
     _check_death_window(channel, case.initial, g, "E")
     p = _p_from_factor(channel, g, "E")
-    if hs_branch_at(case, p) != "D%d" % (idx + 1):
-        dvals = _hs_branch_values(case, p)
-        if dvals[idx] > min(dvals) + _WINDOW_TOL:
-            raise WindowViolation(
-                "branch D%d is not active at p = %.9g" % (idx + 1, p)
-            )
+    d = hs_axis_distances(evolved_vector(channel, case.initial, p))
+    if d[idx] > min(d) + _WINDOW_TOL:
+        raise WindowViolation("branch D%d is not active at p = %.9g" % (idx + 1, p))
     gsq = g * g
     if channel is ChannelKind.DEPOLARIZING:
         others = [s[k] for k in range(3) if k != idx]
@@ -226,15 +208,6 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
         return (s[0] ** 2 + s[1] ** 2) * gsq
     other = 1 - slot
     return s[other] ** 2 * gsq + s[2] ** 2
-
-
-def _hs_branch_values(case: RelationCase, p: float) -> tuple[float, float, float]:
-    rv = evolved_vector(case.channel, case.initial, p)
-    return (
-        rv.r2 ** 2 + rv.r3 ** 2,
-        rv.r1 ** 2 + rv.r3 ** 2,
-        rv.r1 ** 2 + rv.r2 ** 2,
-    )
 
 
 def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | None = None) -> float:
@@ -267,27 +240,9 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
         g = (2.0 * C + off) / amp
     _check_death_window(channel, case.initial, g, "C")
     p = _p_from_factor(channel, g, "C")
-    if trace_piece_at(case, p) != "r%d" % (idx + 1):
-        sv = [abs(v) for v in evolved_vector(channel, case.initial, p).as_array()]
-        mid = sorted(sv)[1]
-        if abs(sv[idx] - mid) > _WINDOW_TOL:
-            raise WindowViolation("piece r%d is not active at p = %.9g" % (idx + 1, p))
+    sv = evolved_vector(channel, case.initial, p).abs_triple()
+    if abs(sv[idx] - sorted(sv)[1]) > _WINDOW_TOL:
+        raise WindowViolation("piece r%d is not active at p = %.9g" % (idx + 1, p))
     if channel is not ChannelKind.DEPOLARIZING and perm.index(idx) == 2:
         return s[2]
     return abs((case.initial.r1, case.initial.r2, case.initial.r3)[idx]) * g
-
-
-def piecewise_discord_pd_trace(p: float, r0: CorrelationVector) -> float:
-    """Piecewise trace discord of a phase-damped Bell-diagonal state.
-
-    Evaluates the analytic piece active at p: a decaying |r_i| (1 - p)^2 or
-    the |r3| plateau, per the strict ordering of the initial moduli.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange("p = %g outside [0, 1]" % p)
-    ordering(r0)
-    case = RelationCase(ChannelKind.PHASE_DAMPING, Norm.TRACE, r0)
-    idx = _branch_index(trace_piece_at(case, p), "r")
-    if idx == PRESERVED_AXIS[ChannelKind.PHASE_DAMPING]:
-        return abs(r0.r3)
-    return abs((r0.r1, r0.r2, r0.r3)[idx]) * (1.0 - p) ** 2

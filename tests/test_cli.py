@@ -70,6 +70,46 @@ def test_unwritable_out_exit2(tmp_path, capsys):
         assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
 
 
+def test_simulate_degenerate_ordering_death_analytic(tmp_path, capsys):
+    # |r1| = |r2|: no sudden-change analysis, but the death time is still known
+    code, stdout, _ = run(
+        capsys, "simulate", "--channel", "pd", "--state", "0.5,0.5,-0.5",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    deaths = [line for line in stdout.splitlines() if line.startswith("SuddenDeathEntanglement")]
+    assert len(deaths) == 2
+    for line in deaths:
+        fields = dict(f.split("=") for f in line.split()[1:])
+        np.testing.assert_allclose(float(fields["p_analytic"]), 1 - np.sqrt(0.5), atol=1e-15)
+        assert abs(float(fields["p_analytic"]) - float(fields["p_detected"])) <= 1e-6
+
+
+def test_verify_missing_out_dir_fails_before_work(tmp_path, capsys, monkeypatch):
+    def fail(**kwargs):
+        raise AssertionError("verify ran before its output path was checked")
+
+    monkeypatch.setattr("qcorr.cli.run_verification", fail)
+    code, stdout, stderr = run(capsys, "verify", "--out", str(tmp_path / "nodir" / "r.json"))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--seed", "1"),
+     ("curve", "--seed", "1"),
+     ("relate", "--seed", "1", "--norm", "hs"),
+     ("simulate", "--norm", "hs"),
+     ("relate", "--norm", "both")],
+)
+def test_removed_options_exit2(argv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, _, stderr = run(capsys, *argv, "--channel", "pd", "--state", STATE, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
+
+
 def test_simulate_depol_no_sudden_changes(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "simulate", "--channel", "depol", "--state", "-0.7,-0.7,-0.7",

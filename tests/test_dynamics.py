@@ -58,13 +58,6 @@ def test_depolarizing_no_sudden_changes():
     )
 
 
-def test_events_property():
-    traj = run_trajectory(PD, R0, 1.0, 1001)
-    ct = traj.events[Norm.TRACE]
-    assert len(ct.sudden_changes) == 2
-    assert ct.sudden_death is not None
-
-
 def test_input_validation():
     with pytest.raises(OutOfRange):
         run_trajectory(PD, R0, 1.0, 1)

@@ -1,0 +1,52 @@
+"""Byte-level pins of the sweep commands' outputs.
+
+One sha256 per channel covers simulate (CSV, event sidecar and stdout),
+relate --norm hs, relate --norm trace and curve (CSV and stdout each) at the
+default 1001 samples, on the reference state and on (0.9, -0.3, 0.2).  A
+refactor of the trajectory or relation code must leave every hash unchanged.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import REF
+from qcorr.cli import main
+
+STATES = (REF, (0.9, -0.3, 0.2))
+
+COMMANDS = (
+    ("simulate",),
+    ("relate", "--norm", "hs"),
+    ("relate", "--norm", "trace"),
+    ("curve",),
+)
+
+GOLDEN = {
+    "pd": "64ce5ba476bf2f380732fcc56731bbee6aedeb8395accde8dae425d2a4f8f476",
+    "bf": "604e5cf2a0b3fab1ff0c95252d89f61035fa2f0fd27d4da17ce578bad1229af9",
+    "bpf": "ff06f074e1954d7b1c9ebdddf97de2e3dfda66a653019bca3c346635bac3196b",
+    "pf": "eff4b5471b9e9c4da09bd17c6feb20b6a7dcf55e3eb2917af39020350b969f6d",
+    "depol": "f1067acb0c47f2fc93a83deac28b622c655da01dd09a4f5be92c58537d92b66b",
+}
+
+
+def _channel_digest(channel, tmp_path, capsys) -> str:
+    h = hashlib.sha256()
+    for state in STATES:
+        arg = "%.17g,%.17g,%.17g" % state
+        for command in COMMANDS:
+            out = tmp_path / "out.csv"
+            code = main([*command, "--channel", channel, "--state", arg, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            h.update(" ".join(command).encode() + b"\0" + arg.encode() + b"\0")
+            h.update(out.read_bytes() + b"\0" + captured.out.encode() + b"\0")
+            if command[0] == "simulate":
+                h.update((tmp_path / "out.events.json").read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("channel", sorted(GOLDEN))
+def test_golden_outputs(channel, tmp_path, capsys):
+    assert _channel_digest(channel, tmp_path, capsys) == GOLDEN[channel]

@@ -37,10 +37,12 @@ def test_closest_classical_examples():
 
     res = closest_classical(CorrelationVector(*REF), Norm.HS)
     np.testing.assert_allclose(res.distance, 0.4925, atol=1e-6)
+    # per axis: one 21-point grid over [-1, 1] and eight zooms down to 1e-8
+    assert res.evaluations == 3 * 9 * 21
 
     res = closest_classical(CorrelationVector(*REF), Norm.TRACE)
     np.testing.assert_allclose(res.distance, 0.59, atol=1e-4)
-    assert res.evaluations > 6000
+    assert res.evaluations == 3 * 9 * 21
 
 
 def test_closest_separable_hs_examples():

@@ -11,7 +11,6 @@ from qcorr.quantifiers import (
     hs_discord,
     hs_entanglement,
     trace_discord,
-    trace_entanglement,
     wootters_concurrence,
 )
 from qcorr.states import (
@@ -57,14 +56,8 @@ def test_concurrence_examples():
     q = concurrence_x(bd_to_xstate(CorrelationVector(*REF)))
     np.testing.assert_allclose(q.value, 0.31, atol=1e-15)
     assert q.branch == "C2"
-
-
-def test_trace_entanglement_equals_concurrence():
-    x = bd_to_xstate(CorrelationVector(*REF))
-    c, e = concurrence_x(x), trace_entanglement(x)
-    assert e.value == c.value and e.branch == c.branch
-    sep = XState(0.4, 0.1, 0.1, 0.4, 0.1, 0.05)
-    assert trace_entanglement(sep).value == 0.0
+    sep = concurrence_x(XState(0.4, 0.1, 0.1, 0.4, 0.1, 0.05))
+    assert sep.value == 0.0 and sep.branch is None
 
 
 def test_wootters_examples():
@@ -135,7 +128,7 @@ def test_permutation_and_sign_symmetry(r):
 def test_zero_set_agreement(r):
     region = classify_region(r)
     e_hs = hs_entanglement(r).value
-    e_tr = trace_entanglement(bd_to_xstate(r)).value
+    e_tr = concurrence_x(bd_to_xstate(r)).value
     margin = sum(r.abs_triple()) - 1.0
     if abs(margin) > 1e-9:
         assert (e_hs > 0) == (region is RegionLabel.ENTANGLED)

@@ -13,13 +13,10 @@ from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, 
 from qcorr.relations import (
     RelationCase,
     critical_times,
-    hs_branch_at,
     hs_discord_from_entanglement,
     ordering,
-    piecewise_discord_pd_trace,
     sudden_death_time,
     trace_discord_from_concurrence,
-    trace_piece_at,
 )
 from qcorr.sampling import random_entangled_bd
 from qcorr.states import CorrelationVector, bd_to_xstate
@@ -100,13 +97,15 @@ def test_degenerate_and_not_entangled():
 
 
 def test_branch_helpers():
-    case = RelationCase(PD, Norm.HS, R0)
-    assert hs_branch_at(case, 0.0) == "D1"
-    assert hs_branch_at(case, 0.28) == "D3"
-    case_tr = RelationCase(PD, Norm.TRACE, R0)
-    assert trace_piece_at(case_tr, 0.0) == "r2"
-    assert trace_piece_at(case_tr, 0.21) == "r3"
-    assert trace_piece_at(case_tr, 0.25) == "r1"
+    # active branches along the phase-damped reference trajectory
+    def at(p):
+        return evolved_vector(PD, R0, p)
+
+    assert hs_discord(at(0.0)).branch == "D1"
+    assert hs_discord(at(0.28)).branch == "D3"
+    assert trace_discord(at(0.0)).branch == "r2"
+    assert trace_discord(at(0.21)).branch == "r3"
+    assert trace_discord(at(0.25)).branch == "r1"
 
 
 def test_hs_relation_examples():
@@ -171,19 +170,10 @@ def test_relation_errors():
 
 
 def test_piecewise_examples():
-    np.testing.assert_allclose(piecewise_discord_pd_trace(0.1, R0), 0.4779, atol=1e-15)
-    np.testing.assert_allclose(piecewise_discord_pd_trace(0.21, R0), 0.38, atol=1e-15)
-    np.testing.assert_allclose(piecewise_discord_pd_trace(0.3, R0), 0.3185, atol=1e-15)
-    with pytest.raises(DegenerateOrdering):
-        piecewise_discord_pd_trace(0.1, CorrelationVector(0.4, 0.4, 0.1))
-
-
-def test_piecewise_matches_direct():
-    for p in np.linspace(0.0, 1.0, 101):
+    # the decaying pieces |r_i| (1 - p)^2 and the |r3| plateau of the PD trace discord
+    for p, value in ((0.1, 0.4779), (0.21, 0.38), (0.3, 0.3185)):
         np.testing.assert_allclose(
-            piecewise_discord_pd_trace(p, R0),
-            trace_discord(evolved_vector(PD, R0, p)).value,
-            atol=1e-14,
+            trace_discord(evolved_vector(PD, R0, p)).value, value, atol=1e-15
         )
 
 
