@@ -27,11 +27,11 @@ for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.DEPOLARIZING):
             % (e.kind, e.norm.value, e.p_detected, e.p_analytic)
         )
     for norm in Norm:
-        curve = d_vs_e_curve(traj, norm)
-        kinks = sum(1 for a, b in zip(curve, curve[1:]) if a[2] != b[2])
+        ent, disc, branch = d_vs_e_curve(traj, norm)
+        kinks = np.count_nonzero(branch[1:] != branch[:-1])
         print("  %s curve: %d points, %d kinks, starts (E, D) = (%.6f, %.6f)"
-              % (norm.value, len(curve), kinks, curve[0][0], curve[0][1]))
-        curves[(kind, norm)] = curve
+              % (norm.value, len(ent), kinks, ent[0], disc[0]))
+        curves[(kind, norm)] = (ent, disc)
 
 # The sudden changes are kinks of the curve, visible as slope breaks.
 try:
@@ -43,8 +43,7 @@ try:
     fig, axes = plt.subplots(1, 2, figsize=(10, 4), sharey=True)
     for ax, kind in zip(axes, (ChannelKind.PHASE_DAMPING, ChannelKind.DEPOLARIZING)):
         for norm, style in ((Norm.TRACE, "r-"), (Norm.HS, "b--")):
-            data = np.array([(e, d) for e, d, _ in curves[(kind, norm)]])
-            ax.plot(data[:, 0], data[:, 1], style, label=norm.value)
+            ax.plot(*curves[(kind, norm)], style, label=norm.value)
         ax.set_xlabel("entanglement")
         ax.set_title(kind.value)
         ax.legend()

@@ -14,7 +14,6 @@ from .dynamics import (
     ContractivityReport,
     EventRecord,
     Trajectory,
-    TrajectorySample,
     contractivity_scan,
     d_vs_e_curve,
     run_trajectory,
@@ -40,7 +39,6 @@ from .oracles import (
     trace_norm,
 )
 from .quantifiers import (
-    Measure,
     Norm,
     QuantifierValue,
     concurrence_x,

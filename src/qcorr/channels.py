@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
+from .quantifiers import square
 from .states import SIGMA_1, SIGMA_2, SIGMA_3, CorrelationVector
 
 _I2 = np.eye(2, dtype=complex)
@@ -60,10 +61,16 @@ class KrausChannel:
         return float(np.max(np.abs(acc - _I2)))
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange("channel probability p = %g outside [0, 1]" % p)
+def _check_p(p):
+    """p as a float, or as a float array, with every value inside [0, 1]."""
+    if isinstance(p, np.ndarray):
+        p = p.astype(float, copy=False)
+        lo, hi = np.min(p), np.max(p)
+    else:
+        p = lo = hi = float(p)
+    if not 0.0 <= lo <= hi <= 1.0:  # False for NaN too
+        bad = hi if lo >= 0.0 else lo
+        raise OutOfRange("channel probability p = %g outside [0, 1]" % bad)
     return p
 
 
@@ -110,20 +117,17 @@ def apply_local_pair(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
     return out
 
 
-def decay_factors(kind: ChannelKind, p: float) -> tuple[float, float, float]:
-    """Per-axis scale factors of the two-qubit correlation vector."""
+def decay_factors(kind: ChannelKind, p) -> tuple:
+    """Per-axis scale factors of the two-qubit correlation vector.
+
+    Every axis decays by (1 - p)^2, or (1 - 2p)^2 under phase flip, except the
+    preserved one, whose factor is 1.0.  p may be an array; the decaying
+    factors then are arrays of its shape.
+    """
     p = _check_p(p)
-    g = (1.0 - p) ** 2
-    if kind is ChannelKind.PHASE_DAMPING:
-        return (g, g, 1.0)
-    if kind is ChannelKind.BIT_FLIP:
-        return (1.0, g, g)
-    if kind is ChannelKind.BIT_PHASE_FLIP:
-        return (g, 1.0, g)
-    if kind is ChannelKind.PHASE_FLIP:
-        h = (1.0 - 2.0 * p) ** 2
-        return (h, h, 1.0)
-    return (g, g, g)
+    g = square(1.0 - 2.0 * p if kind is ChannelKind.PHASE_FLIP else 1.0 - p)
+    keep = PRESERVED_AXIS[kind]
+    return (1.0 if keep == 0 else g, 1.0 if keep == 1 else g, 1.0 if keep == 2 else g)
 
 
 def evolved_vector(kind: ChannelKind, r: CorrelationVector, p: float) -> CorrelationVector:

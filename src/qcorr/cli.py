@@ -14,11 +14,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .channels import parse_channel_spec
 from .dynamics import SUDDEN_CHANGE, d_vs_e_curve, run_trajectory
 from .errors import EmptyWindow, NonPhysical, OutOfRange, QcorrError
 from .quantifiers import Norm
-from .relations import RelationCase, is_extrapolated_piece
+from .relations import RelationCase, extrapolation_start
 from .states import CorrelationVector, XState
 from .verify import report_to_json, run_verification
 
@@ -118,22 +120,25 @@ def _print_events(traj):
         print("%s norm=%s p_detected=%s p_analytic=%s" % (e.kind, e.norm.value, _fmt(e.p_detected), analytic))
 
 
+def _write_columns(path: str, header: str, columns) -> None:
+    """CSV with one row per index of the columns: floats as %.17g, labels verbatim."""
+    cells = []
+    for c in columns:  # formatted lazily, one row at a time
+        cells.append(c.tolist() if c.dtype.kind == "U" else map(_fmt, c.tolist()))
+    rows = map(",".join, zip(*cells))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
 def cmd_simulate(args) -> int:
     kind = _channel_kind(args)
     r0 = _initial_state(args)
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
-    lines = ["p,r1,r2,r3,E_hs,D_hs,C,D_tr,branch_hs,branch_tr"]
-    for s in traj.samples:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(s.p), _fmt(s.r.r1), _fmt(s.r.r2), _fmt(s.r.r3),
-                    _fmt(s.e_hs), _fmt(s.d_hs), _fmt(s.concurrence), _fmt(s.d_tr),
-                    s.branch_hs, s.branch_tr,
-                ]
-            )
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_columns(
+        args.out,
+        "p,r1,r2,r3,E_hs,D_hs,C,D_tr,branch_hs,branch_tr",
+        [traj.p, *traj.r.T, traj.e_hs, traj.d_hs, traj.concurrence, traj.d_tr,
+         traj.branch_hs, traj.branch_tr],
+    )
     _write_events(traj, args.out)
     _print_events(traj)
     return 0
@@ -144,13 +149,10 @@ def cmd_relate(args) -> int:
     norm = Norm(args.norm)
     r0 = _initial_state(args)
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
-    curve = d_vs_e_curve(traj, norm)
-    case = RelationCase(kind, norm, r0)
-    lines = ["E,D,branch,extrapolated"]
-    for (ent, disc, branch), sample in zip(curve, traj.samples):
-        extra = is_extrapolated_piece(case, sample.p)
-        lines.append("%s,%s,%s,%s" % (_fmt(ent), _fmt(disc), branch, "true" if extra else "false"))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    ent, disc, branch = d_vs_e_curve(traj, norm)
+    start = extrapolation_start(RelationCase(kind, norm, r0))
+    extrapolated = np.where(traj.p[: len(ent)] > start, "true", "false")
+    _write_columns(args.out, "E,D,branch,extrapolated", [ent, disc, branch, extrapolated])
     for e in traj.event_records:
         if e.kind == SUDDEN_CHANGE and e.norm is norm:
             print("kink p=%s" % _fmt(e.p_detected))
@@ -163,12 +165,8 @@ def cmd_curve(args) -> int:
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
     hs = d_vs_e_curve(traj, Norm.HS)
     tr = d_vs_e_curve(traj, Norm.TRACE)
-    lines = ["p,E_hs,D_hs,branch_hs,C,D_tr,branch_tr"]
-    for (ehs, dhs, bhs), (c, dtr, btr), s in zip(hs, tr, traj.samples):
-        lines.append(
-            ",".join([_fmt(s.p), _fmt(ehs), _fmt(dhs), bhs, _fmt(c), _fmt(dtr), btr])
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    p = traj.p[: len(hs[0])]
+    _write_columns(args.out, "p,E_hs,D_hs,branch_hs,C,D_tr,branch_tr", [p, *hs, *tr])
     _print_events(traj)
     return 0
 
@@ -248,10 +246,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print("ConfigError: %s" % exc, file=sys.stderr)
-        return 2
-    except (OutOfRange, OSError) as exc:  # OSError: unreadable input or unwritable --out
+    except (ConfigError, OutOfRange, OSError) as exc:  # OSError: unreadable or unwritable path
         print("ConfigError: %s" % exc, file=sys.stderr)
         return 2
     except NonPhysical as exc:

@@ -1,10 +1,11 @@
 """Trajectories over the channel parameter, event detection and curve data.
 
-A trajectory samples the evolved correlation vector and all quantifiers on a
-uniform p-grid.  Discord sudden changes are detected from branch-label
-switches and refined by bisection on the difference of the two competing
-branch values; entanglement sudden death is detected from the sign change of
-the octahedron margin sum|r_i(p)| - 1, which both norms share.
+A trajectory holds the evolved correlation vectors and all quantifiers on a
+uniform p-grid as columns, one array call per closed form.  Discord sudden
+changes are detected from branch-label switches and refined by bisection on
+the difference of the two competing branch values; entanglement sudden death
+is detected from the sign change of the octahedron margin sum|r_i(p)| - 1,
+which both norms share.
 """
 
 from __future__ import annotations
@@ -13,37 +14,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelKind, evolved_vector
-from .errors import DegenerateOrdering, EmptyWindow, NotEntangled, OutOfRange
+from .channels import ChannelKind, decay_factors, evolved_vector
+from .errors import DegenerateOrdering, EmptyWindow, NonPhysical, NotEntangled, OutOfRange
 from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
     Norm,
-    concurrence_x,
+    concurrence_columns,
     hs_axis_distances,
-    hs_discord,
-    hs_entanglement,
-    trace_discord,
+    hs_discord_columns,
+    hs_entanglement_columns,
+    octahedron_margin,
+    trace_discord_columns,
 )
 from .relations import RelationCase, critical_times, sudden_death_time
-from .states import CorrelationVector, bd_to_density, bd_to_xstate
+from .states import EPS_PSD, CorrelationVector, bd_to_density, bd_xstate_columns, bell_eigenvalues
 
 SUDDEN_CHANGE = "SuddenChangeDiscord"
 SUDDEN_DEATH = "SuddenDeathEntanglement"
 
 _REFINE_TOL = 1e-10
 _MATCH_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    p: float
-    r: CorrelationVector
-    e_hs: float
-    d_hs: float
-    concurrence: float
-    d_tr: float
-    branch_hs: str
-    branch_tr: str
+_HS_LABELS = np.array(["D1", "D2", "D3"])
+_TRACE_LABELS = np.array(["r1", "r2", "r3"])
 
 
 @dataclass(frozen=True)
@@ -56,9 +48,22 @@ class EventRecord:
 
 @dataclass
 class Trajectory:
+    """A sampled trajectory in columns: row k of every array belongs to p[k].
+
+    r holds the evolved correlation vectors (n x 3); branch_hs holds the HS
+    discord labels D1..D3 and branch_tr the trace discord labels r1..r3.
+    """
+
     channel: ChannelKind
     initial: CorrelationVector
-    samples: list[TrajectorySample]
+    p: np.ndarray
+    r: np.ndarray
+    e_hs: np.ndarray
+    d_hs: np.ndarray
+    concurrence: np.ndarray
+    d_tr: np.ndarray
+    branch_hs: np.ndarray
+    branch_tr: np.ndarray
     event_records: list[EventRecord] = field(default_factory=list)
 
     def death_p(self) -> float | None:
@@ -108,56 +113,59 @@ def run_trajectory(
         raise OutOfRange("n_samples = %d must be at least 2" % n_samples)
     if not 0.0 < p_max <= 1.0:
         raise OutOfRange("p_max = %g outside (0, 1]" % p_max)
+    try:
+        p = np.linspace(0.0, p_max, n_samples)
+    except (ValueError, MemoryError):  # more samples than one array can hold
+        raise OutOfRange("n_samples = %d is too large" % n_samples) from None
 
-    grid = np.linspace(0.0, p_max, n_samples)
-    samples: list[TrajectorySample] = []
-    for p in grid:
-        rv = evolved_vector(channel, r0, float(p))
-        qd = hs_discord(rv)
-        qe = hs_entanglement(rv)
-        qc = concurrence_x(bd_to_xstate(rv))
-        qt = trace_discord(rv)
-        samples.append(
-            TrajectorySample(
-                p=float(p),
-                r=rv,
-                e_hs=qe.value,
-                d_hs=qd.value,
-                concurrence=qc.value,
-                d_tr=qt.value,
-                branch_hs=qd.branch,
-                branch_tr=qt.branch,
-            )
-        )
+    r = r0.as_array() * np.stack(np.broadcast_arrays(*decay_factors(channel, p)), axis=-1)
+    lowest = np.min(bell_eigenvalues(*r.T), axis=0)
+    k = np.argmin(lowest)  # the first NaN, if there is one
+    if not lowest[k] >= -EPS_PSD:
+        raise NonPhysical("evolved vector at p = %g has eigenvalue %.6g" % (p[k], lowest[k]))
+    d_hs, i_hs = hs_discord_columns(*r.T)
+    xa, xb, xc, xd, xe, xf = bd_xstate_columns(*r.T)
+    concurrence, _ = concurrence_columns(xa, xb, xc, xd, abs(xe), abs(xf))
+    d_tr, i_tr = trace_discord_columns(*r.T)
+    traj = Trajectory(
+        channel=channel,
+        initial=r0,
+        p=p,
+        r=r,
+        e_hs=hs_entanglement_columns(*r.T),
+        d_hs=d_hs,
+        concurrence=concurrence,
+        d_tr=d_tr,
+        branch_hs=_HS_LABELS[i_hs],
+        branch_tr=_TRACE_LABELS[i_tr],
+    )
 
     try:
         death = sudden_death_time(channel, r0)
     except NotEntangled:
         death = None
-    records: list[EventRecord] = []
-    for norm, label_of, values_of in (
-        (Norm.HS, lambda s: s.branch_hs, hs_axis_distances),
-        (Norm.TRACE, lambda s: s.branch_tr, CorrelationVector.abs_triple),
+    records = traj.event_records
+    for norm, labels, values_of in (
+        (Norm.HS, traj.branch_hs, lambda v: hs_axis_distances(v.r1, v.r2, v.r3)),
+        (Norm.TRACE, traj.branch_tr, CorrelationVector.abs_triple),
     ):
         try:
             changes = critical_times(RelationCase(channel, norm, r0)).sudden_changes
         except DegenerateOrdering:
             changes = ()
-        for a, b in zip(samples, samples[1:]):
-            la, lb = label_of(a), label_of(b)
-            if la == lb:
-                continue
-            i, j = int(la[1]) - 1, int(lb[1]) - 1
+        for k in np.flatnonzero(labels[1:] != labels[:-1]):
+            i, j = int(labels[k][1]) - 1, int(labels[k + 1][1]) - 1
 
-            def f(p, values_of=values_of, i=i, j=j):
-                v = values_of(evolved_vector(channel, r0, p))
+            def f(x, values_of=values_of, i=i, j=j):
+                v = values_of(evolved_vector(channel, r0, x))
                 return v[j] - v[i]
 
-            fa, fb = f(a.p), f(b.p)
+            lo, hi = float(p[k]), float(p[k + 1])
+            fa, fb = f(lo), f(hi)
             if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
                 # label flipped on a tie-break without a value crossing
                 continue
-            p_star = _bisect(f, a.p, b.p)
+            p_star = _bisect(f, lo, hi)
             records.append(
                 EventRecord(
                     kind=SUDDEN_CHANGE,
@@ -167,52 +175,46 @@ def run_trajectory(
                 )
             )
 
-    def margin(p: float) -> float:
-        return sum(evolved_vector(channel, r0, p).abs_triple()) - 1.0
+    def margin(x: float) -> float:
+        v = evolved_vector(channel, r0, x)
+        return octahedron_margin(v.r1, v.r2, v.r3)
 
-    margins = [sum(s.r.abs_triple()) - 1.0 for s in samples]
-    if margins[0] > 0.0:
-        for k in range(len(samples) - 1):
-            if margins[k] > 0.0 >= margins[k + 1]:
-                p_star = _bisect(margin, samples[k].p, samples[k + 1].p, tol=1e-12)
-                for norm in (Norm.HS, Norm.TRACE):
-                    records.append(
-                        EventRecord(
-                            kind=SUDDEN_DEATH,
-                            norm=norm,
-                            p_detected=p_star,
-                            p_analytic=death,
-                        )
-                    )
-                break  # only the first downward crossing counts as death
+    margins = octahedron_margin(*r.T)
+    # only the first downward crossing counts as death
+    down = np.flatnonzero((margins[:-1] > 0.0) & (margins[1:] <= 0.0))
+    if margins[0] > 0.0 and down.size:
+        k = down[0]
+        p_star = _bisect(margin, float(p[k]), float(p[k + 1]), tol=1e-12)
+        for norm in (Norm.HS, Norm.TRACE):
+            records.append(
+                EventRecord(
+                    kind=SUDDEN_DEATH,
+                    norm=norm,
+                    p_detected=p_star,
+                    p_analytic=death,
+                )
+            )
 
     records.sort(key=lambda e: (e.p_detected, e.kind, e.norm.value))
-    return Trajectory(channel=channel, initial=r0, samples=samples, event_records=records)
+    return traj
 
 
-def d_vs_e_curve(traj: Trajectory, norm: Norm) -> list[tuple[float, float, str]]:
-    """(E, D, branch) pairs for p in [0, p_SD], ordered by p.
+def d_vs_e_curve(traj: Trajectory, norm: Norm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, D, branch) columns for p in [0, p_SD], ordered by p.
 
     Under the trace norm the entanglement coordinate is the concurrence.
     Raises EmptyWindow when the initial state is separable.
     """
-    if hs_entanglement(traj.initial).value <= 0.0:
+    if traj.e_hs[0] <= 0.0:  # p[0] = 0, so this is the initial state's entanglement
         raise EmptyWindow(
             "initial state (%g, %g, %g) is separable"
             % (traj.initial.r1, traj.initial.r2, traj.initial.r3)
         )
     p_end = traj.death_p()
-    if p_end is None:
-        p_end = traj.samples[-1].p
-    out = []
-    for s in traj.samples:
-        if s.p > p_end + 1e-12:
-            break
-        if norm is Norm.HS:
-            out.append((s.e_hs, s.d_hs, s.branch_hs))
-        else:
-            out.append((s.concurrence, s.d_tr, s.branch_tr))
-    return out
+    n = len(traj.p) if p_end is None else np.searchsorted(traj.p, p_end + 1e-12, side="right")
+    if norm is Norm.HS:
+        return traj.e_hs[:n], traj.d_hs[:n], traj.branch_hs[:n]
+    return traj.concurrence[:n], traj.d_tr[:n], traj.branch_tr[:n]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ prefactor, which makes the trace entanglement equal the concurrence.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,72 +24,117 @@ class Norm(enum.Enum):
     TRACE = "trace"
 
 
-class Measure(enum.Enum):
-    HS_DISCORD = "hs_discord"
-    HS_ENTANGLEMENT = "hs_entanglement"
-    TRACE_DISCORD = "trace_discord"
-    CONCURRENCE = "concurrence"
-
-
 @dataclass(frozen=True)
 class QuantifierValue:
-    measure: Measure
     value: float
     branch: str | None = None
 
 
-def hs_axis_distances(r: CorrelationVector) -> tuple[float, float, float]:
+# Each closed form below is written once, over the components of the state.
+# They may be numbers (one state) or equal-shape arrays (one state per row);
+# plain arithmetic serves both, and the helpers below do the rest.
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a conditional on numbers."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def square(x):
+    """x^2 rounded as libm pow, which Python's x ** 2 calls on a float.
+
+    numpy's x ** 2 is x * x, which differs from pow in the last bit for some x
+    and would move the pinned outputs; float_power is pow.
+    """
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _sqrt_clamped(x):
+    """sqrt(max(x, 0))."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0.0))
+    return math.sqrt(x) if x > 0.0 else 0.0
+
+
+def _pick(first, second, values) -> tuple:
+    """values[0] where first holds, else values[1] where second holds, else
+    values[2]; and the index picked."""
+    a, b, c = values
+    return _where(first, a, _where(second, b, c)), _where(first, 0, _where(second, 1, 2))
+
+
+def hs_axis_distances(r1, r2, r3) -> tuple:
     """Branch values D_i = r_j^2 + r_k^2 (j, k != i): squared distances to the axes."""
-    return (
-        r.r2 * r.r2 + r.r3 * r.r3,
-        r.r1 * r.r1 + r.r3 * r.r3,
-        r.r1 * r.r1 + r.r2 * r.r2,
-    )
+    return (r2 * r2 + r3 * r3, r1 * r1 + r3 * r3, r1 * r1 + r2 * r2)
+
+
+def hs_discord_columns(r1, r2, r3) -> tuple:
+    """HS discord min_i D_i, the squared distance to the closest Cartesian axis,
+    and the attained axis index i, lowest index on ties."""
+    d1, d2, d3 = hs_axis_distances(r1, r2, r3)
+    return _pick((d1 <= d2) & (d1 <= d3), (d2 < d1) & (d2 <= d3), (d1, d2, d3))
+
+
+def octahedron_margin(r1, r2, r3):
+    """|r1| + |r2| + |r3| - 1, positive outside the separable octahedron."""
+    return abs(r1) + abs(r2) + abs(r3) - 1.0
+
+
+def hs_entanglement_columns(r1, r2, r3):
+    """HS entanglement margin^2 / 3 outside the octahedron, 0 inside; the
+    clamp at the octahedron is exact."""
+    m = octahedron_margin(r1, r2, r3)
+    return square(_where(m > 0.0, m, 0.0)) / 3.0
+
+
+def trace_discord_columns(r1, r2, r3) -> tuple:
+    """Trace-norm discord of Bell-diagonal states, the intermediate |r_i|, and
+    its index i, in the stable sort order of (|r1|, |r2|, |r3|).
+
+    |r_i| is the middle one when exactly one other value precedes it; an equal
+    value precedes it when its index is lower.
+    """
+    s1, s2, s3 = abs(r1), abs(r2), abs(r3)
+    return _pick((s2 < s1) != (s3 < s1), (s1 <= s2) != (s3 < s2), (s1, s2, s3))
+
+
+def concurrence_columns(a, b, c, d, abs_e, abs_f) -> tuple:
+    """X-state concurrence 2 max{0, |e| - sqrt(bc), |f| - sqrt(ad)} and its branch.
+
+    Takes the populations and the coherence moduli.  The branch is 1 when the
+    |e| term attains the maximum, 2 for the |f| term and 0 when the state is
+    separable.
+    """
+    t1 = abs_e - _sqrt_clamped(b * c)
+    t2 = abs_f - _sqrt_clamped(a * d)
+    best = _where(t2 > t1, t2, t1)
+    entangled = best > 0.0
+    return _where(entangled, 2.0 * best, 0.0), entangled * (2 - (t1 >= t2))
 
 
 def hs_discord(r: CorrelationVector) -> QuantifierValue:
-    """Squared Euclidean distance from (r1, r2, r3) to the closest Cartesian axis.
-
-    D = min_i D_i over hs_axis_distances; the branch records the attained
-    axis, lowest index on ties.
-    """
-    d = hs_axis_distances(r)
-    i = min(range(3), key=lambda k: (d[k], k))
-    return QuantifierValue(Measure.HS_DISCORD, d[i], "D%d" % (i + 1))
+    """hs_discord_columns of one state, with branch label D1, D2 or D3."""
+    value, i = hs_discord_columns(r.r1, r.r2, r.r3)
+    return QuantifierValue(value, "D%d" % (i + 1))
 
 
 def hs_entanglement(r: CorrelationVector) -> QuantifierValue:
-    """Squared distance from (|r1|, |r2|, |r3|) to the separable octahedron.
-
-    E = (|r1| + |r2| + |r3| - 1)^2 / 3 outside the octahedron, 0 inside;
-    the clamp at the boundary is exact.
-    """
-    s = sum(r.abs_triple())
-    value = (s - 1.0) ** 2 / 3.0 if s > 1.0 else 0.0
-    return QuantifierValue(Measure.HS_ENTANGLEMENT, value)
+    """hs_entanglement_columns of one state."""
+    return QuantifierValue(hs_entanglement_columns(r.r1, r.r2, r.r3))
 
 
 def trace_discord(r: CorrelationVector) -> QuantifierValue:
-    """Trace-norm discord of a Bell-diagonal state: the intermediate |r_i|."""
-    s = r.abs_triple()
-    order = sorted(range(3), key=lambda k: (s[k], k))
-    mid = order[1]
-    return QuantifierValue(Measure.TRACE_DISCORD, s[mid], "r%d" % (mid + 1))
+    """trace_discord_columns of one state, with branch label r1, r2 or r3."""
+    value, mid = trace_discord_columns(r.r1, r.r2, r.r3)
+    return QuantifierValue(value, "r%d" % (mid + 1))
 
 
 def concurrence_x(x: XState) -> QuantifierValue:
-    """Concurrence of an X state: 2 max{0, |e| - sqrt(bc), |f| - sqrt(ad)}.
-
-    Branch C1 when the |e| term attains the maximum, C2 for the |f| term,
-    None when the state is separable.
-    """
-    t1 = float(abs(x.e) - np.sqrt(max(x.b * x.c, 0.0)))
-    t2 = float(abs(x.f) - np.sqrt(max(x.a * x.d, 0.0)))
-    best = max(t1, t2)
-    if best <= 0.0:
-        return QuantifierValue(Measure.CONCURRENCE, 0.0, None)
-    branch = "C1" if t1 >= t2 else "C2"
-    return QuantifierValue(Measure.CONCURRENCE, 2.0 * best, branch)
+    """concurrence_columns of one X state, with branch label C1, C2 or None (separable)."""
+    value, k = concurrence_columns(x.a, x.b, x.c, x.d, abs(x.e), abs(x.f))
+    return QuantifierValue(value, "C%d" % k if k else None)
 
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)

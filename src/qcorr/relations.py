@@ -14,10 +14,11 @@ computed discord piecewise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .channels import ChannelKind, evolved_vector, inverse_decay_p
+from .channels import PRESERVED_AXIS, ChannelKind, evolved_vector, inverse_decay_p
 from .errors import (
     BranchUnknown,
     DegenerateOrdering,
@@ -30,15 +31,6 @@ from .states import CorrelationVector, bd_to_xstate
 
 _ORDER_TOL = 1e-12
 _WINDOW_TOL = 1e-9
-
-# canonical slot -> original axis, with the preserved axis in the last slot
-_CANONICAL_PERM = {
-    ChannelKind.PHASE_DAMPING: (0, 1, 2),
-    ChannelKind.PHASE_FLIP: (0, 1, 2),
-    ChannelKind.BIT_FLIP: (1, 2, 0),
-    ChannelKind.BIT_PHASE_FLIP: (0, 2, 1),
-    ChannelKind.DEPOLARIZING: (0, 1, 2),
-}
 
 
 @dataclass(frozen=True)
@@ -69,8 +61,16 @@ def ordering(r: CorrelationVector) -> tuple[int, int, int]:
     return tuple(sorted((1, 2, 3), key=lambda k: s[k - 1]))
 
 
+# canonical slot -> original axis: the decaying axes in ascending order, then
+# the preserved axis (a stable sort on "is preserved")
+_PERM = {
+    kind: tuple(sorted(range(3), key=lambda k: k == keep))
+    for kind, keep in PRESERVED_AXIS.items()
+}
+
+
 def _canonical(channel: ChannelKind, r: CorrelationVector):
-    perm = _CANONICAL_PERM[channel]
+    perm = _PERM[channel]
     rv = (r.r1, r.r2, r.r3)
     u = tuple(rv[j] for j in perm)
     s = tuple(abs(v) for v in u)
@@ -132,21 +132,22 @@ def critical_times(case: RelationCase) -> CriticalTimes:
     return CriticalTimes(sudden_changes=tuple(sorted(changes)), sudden_death=death)
 
 
-def is_extrapolated_piece(case: RelationCase, p: float) -> bool:
-    """True on the post-sudden-change segment of the single-change trace case,
-    whose D(C) form is obtained by the same substitution but has no stated
-    counterpart; flagged so downstream output can mark it."""
+def extrapolation_start(case: RelationCase) -> float:
+    """p beyond which the D(C) curve lies on its extrapolated piece, inf if none.
+
+    That piece is the post-sudden-change segment of the single-change trace
+    case, whose D(C) form is obtained by the same substitution but has no
+    stated counterpart; flagged so downstream output can mark it.
+    """
     if case.channel is ChannelKind.DEPOLARIZING or case.norm is not Norm.TRACE:
-        return False
+        return math.inf
     try:
-        _, _, s = _canonical(case.channel, case.initial)
-        single_change = min(s[0], s[1]) < s[2] < max(s[0], s[1])
-        if not single_change:
-            return False
-        times = critical_times(case)
-        return bool(times.sudden_changes) and p > times.sudden_changes[0]
+        changes = critical_times(case).sudden_changes
     except DegenerateOrdering:
-        return False
+        return math.inf
+    # a change means a decaying |u_i| above the preserved |u_3|; single when the other is below
+    _, _, s = _canonical(case.channel, case.initial)
+    return changes[0] if changes and min(s[0], s[1]) < s[2] else math.inf
 
 
 def _branch_index(label: str | None, prefix: str) -> int:
@@ -196,7 +197,8 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
         g = (root - s[2] + 1.0) / (s[0] + s[1])
     _check_death_window(channel, case.initial, g, "E")
     p = _p_from_factor(channel, g, "E")
-    d = hs_axis_distances(evolved_vector(channel, case.initial, p))
+    v = evolved_vector(channel, case.initial, p)
+    d = hs_axis_distances(v.r1, v.r2, v.r3)
     if d[idx] > min(d) + _WINDOW_TOL:
         raise WindowViolation("branch D%d is not active at p = %.9g" % (idx + 1, p))
     gsq = g * g

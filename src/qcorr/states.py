@@ -189,16 +189,16 @@ def density_to_bd(rho: np.ndarray) -> CorrelationVector:
     return CorrelationVector(*r)
 
 
+def bd_xstate_columns(r1, r2, r3) -> tuple:
+    """X-form parameters (a, b, c, d, e, f) of Bell-diagonal states; numbers or arrays."""
+    a = (1.0 + r3) / 4.0
+    b = (1.0 - r3) / 4.0
+    return a, b, b, a, (r1 - r2) / 4.0, (r1 + r2) / 4.0
+
+
 def bd_to_xstate(r: CorrelationVector) -> XState:
     """X-form parameters of a Bell-diagonal state in the computational basis."""
-    return XState(
-        a=(1.0 + r.r3) / 4.0,
-        b=(1.0 - r.r3) / 4.0,
-        c=(1.0 - r.r3) / 4.0,
-        d=(1.0 + r.r3) / 4.0,
-        e=(r.r1 - r.r2) / 4.0,
-        f=(r.r1 + r.r2) / 4.0,
-    )
+    return XState(*bd_xstate_columns(r.r1, r.r2, r.r3))
 
 
 def classify_region(r: CorrelationVector, zero_tol: float = 1e-12) -> RegionLabel:

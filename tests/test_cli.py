@@ -70,6 +70,19 @@ def test_unwritable_out_exit2(tmp_path, capsys):
         assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
 
 
+def test_simulate_too_many_samples_exit2(tmp_path, capsys):
+    # 1e20 samples exceed the largest array numpy can describe, so nothing is
+    # allocated; a count that fits in an index but not in memory is not tried
+    out = tmp_path / "x.csv"
+    code, _, stderr = run(
+        capsys, "simulate", "--channel", "pd", "--state", STATE,
+        "--samples", "100000000000000000000", "--out", str(out),
+    )
+    assert code == 2
+    assert stderr.startswith("ConfigError: n_samples") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_degenerate_ordering_death_analytic(tmp_path, capsys):
     # |r1| = |r2|: no sudden-change analysis, but the death time is still known
     code, stdout, _ = run(

@@ -10,7 +10,7 @@ from qcorr.dynamics import (
     d_vs_e_curve,
     run_trajectory,
 )
-from qcorr.errors import EmptyWindow, OutOfRange
+from qcorr.errors import EmptyWindow, NonPhysical, OutOfRange
 from qcorr.quantifiers import Norm
 from qcorr.sampling import random_bd_pairs
 from qcorr.states import CorrelationVector
@@ -29,11 +29,22 @@ def _deaths(traj, norm):
 
 def test_trajectory_shape_and_endpoint():
     traj = run_trajectory(PD, CorrelationVector(-0.7, -0.7, -0.7), 1.0, 101)
-    assert len(traj.samples) == 101
-    np.testing.assert_allclose(traj.samples[-1].r.as_array(), [0, 0, -0.7], atol=1e-15)
+    columns = (traj.p, traj.e_hs, traj.d_hs, traj.concurrence, traj.d_tr,
+               traj.branch_hs, traj.branch_tr)
+    assert traj.r.shape == (101, 3) and all(c.shape == (101,) for c in columns)
+    np.testing.assert_allclose(traj.r[-1], [0, 0, -0.7], atol=1e-15)
     # trajectory heads straight for the r3 axis: r1(p) = r2(p) throughout
-    for s in traj.samples:
-        assert s.r.r1 == s.r.r2
+    assert (traj.r[:, 0] == traj.r[:, 1]).all()
+
+
+def test_nonphysical_evolution_raises(monkeypatch):
+    # a factor above 1 on r1 stands in for a broken channel: every row leaves
+    # the tetrahedron, and the one array check reports it
+    import qcorr.dynamics as dyn
+
+    monkeypatch.setattr(dyn, "decay_factors", lambda kind, p: (1.5 + 0.0 * p, 1.0, 1.0))
+    with pytest.raises(NonPhysical, match="at p = 0 has eigenvalue -0.04625"):
+        run_trajectory(PD, R0, 1.0, 11)
 
 
 def test_reference_events_detected():
@@ -69,15 +80,16 @@ def test_curve_structure():
     traj = run_trajectory(PD, R0, 1.0, 1001)
     hs = d_vs_e_curve(traj, Norm.HS)
     tr = d_vs_e_curve(traj, Norm.TRACE)
-    np.testing.assert_allclose(hs[0][:2], (0.62**2 / 3, 0.4925), atol=1e-12)
-    np.testing.assert_allclose(tr[0][:2], (0.31, 0.59), atol=1e-12)
+    np.testing.assert_allclose((hs[0][0], hs[1][0]), (0.62**2 / 3, 0.4925), atol=1e-12)
+    np.testing.assert_allclose((tr[0][0], tr[1][0]), (0.31, 0.59), atol=1e-12)
 
     def kinks(curve):
-        return sum(1 for a, b in zip(curve, curve[1:]) if a[2] != b[2])
+        branch = curve[2]
+        return np.count_nonzero(branch[1:] != branch[:-1])
 
     assert kinks(tr) == 2 and kinks(hs) == 1
-    # restricted to p <= p_SD and ordered by p
-    assert len(hs) == len(tr) <= 294
+    # restricted to p <= p_SD = 0.2929: the grid points 0, 0.001, ..., 0.292
+    assert all(len(c) == 293 for c in hs + tr)
 
     dep = run_trajectory(DEP, R0, 1.0, 1001)
     assert kinks(d_vs_e_curve(dep, Norm.HS)) == 0
@@ -93,10 +105,8 @@ def test_curve_empty_window():
 @pytest.mark.parametrize("kind", [PD, ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP, DEP])
 def test_entanglement_monotone(kind):
     traj = run_trajectory(kind, R0, 1.0, 501)
-    e = [s.e_hs for s in traj.samples]
-    c = [s.concurrence for s in traj.samples]
-    assert (np.diff(e) <= 1e-15).all()
-    assert (np.diff(c) <= 1e-15).all()
+    assert (np.diff(traj.e_hs) <= 1e-15).all()
+    assert (np.diff(traj.concurrence) <= 1e-15).all()
 
 
 def test_events_match_analytic_random_suite():

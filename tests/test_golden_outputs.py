@@ -3,7 +3,10 @@
 One sha256 per channel covers simulate (CSV, event sidecar and stdout),
 relate --norm hs, relate --norm trace and curve (CSV and stdout each) at the
 default 1001 samples, on the reference state and on (0.9, -0.3, 0.2).  A
-refactor of the trajectory or relation code must leave every hash unchanged.
+second set covers the degenerate orderings (0.5, 0.5, -0.5) and
+(-0.7, -0.7, -0.7), whose tied moduli pin the lowest-index tie-breaking of
+the branch labels.  A refactor of the trajectory or relation code must leave
+every hash unchanged.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ from conftest import REF
 from qcorr.cli import main
 
 STATES = (REF, (0.9, -0.3, 0.2))
+DEGENERATE_STATES = ((0.5, 0.5, -0.5), (-0.7, -0.7, -0.7))
 
 COMMANDS = (
     ("simulate",),
@@ -31,9 +35,18 @@ GOLDEN = {
 }
 
 
-def _channel_digest(channel, tmp_path, capsys) -> str:
+DEGENERATE = {
+    "pd": "af8db50cf7bc526eca0ff266a6a0e505e4ebbc22410bfd228dc0f4b7317ce4ee",
+    "bf": "cc3eba1716fd7366fa009db90a9312679c5dc952c2e0e2536c6f1fc537c0ddfe",
+    "bpf": "41f37749a2544b7c960e3f62c3f01aa66d7d52b25209eb4e0a7e46be8827694f",
+    "pf": "99612a28572b4e1b8acc47a23cb89c527a053170c4efaf83b6a0c8f6d0552fee",
+    "depol": "dbaedb07a11d4fcfda9fc7ec96659e90e8581bf4a18b8319c402993528334008",
+}
+
+
+def _channel_digest(channel, states, tmp_path, capsys) -> str:
     h = hashlib.sha256()
-    for state in STATES:
+    for state in states:
         arg = "%.17g,%.17g,%.17g" % state
         for command in COMMANDS:
             out = tmp_path / "out.csv"
@@ -49,4 +62,9 @@ def _channel_digest(channel, tmp_path, capsys) -> str:
 
 @pytest.mark.parametrize("channel", sorted(GOLDEN))
 def test_golden_outputs(channel, tmp_path, capsys):
-    assert _channel_digest(channel, tmp_path, capsys) == GOLDEN[channel]
+    assert _channel_digest(channel, STATES, tmp_path, capsys) == GOLDEN[channel]
+
+
+@pytest.mark.parametrize("channel", sorted(DEGENERATE))
+def test_golden_outputs_degenerate(channel, tmp_path, capsys):
+    assert _channel_digest(channel, DEGENERATE_STATES, tmp_path, capsys) == DEGENERATE[channel]

@@ -7,10 +7,15 @@ from hypothesis import given
 from conftest import REF, physical_vectors, xstates
 from qcorr.errors import NonPhysical
 from qcorr.quantifiers import (
+    concurrence_columns,
     concurrence_x,
+    hs_axis_distances,
     hs_discord,
+    hs_discord_columns,
     hs_entanglement,
+    hs_entanglement_columns,
     trace_discord,
+    trace_discord_columns,
     wootters_concurrence,
 )
 from qcorr.states import (
@@ -19,6 +24,7 @@ from qcorr.states import (
     XState,
     bd_to_density,
     bd_to_xstate,
+    bd_xstate_columns,
     classify_region,
 )
 
@@ -150,3 +156,31 @@ def test_concurrence_branch_follows_r3_sign(r3, branch):
         q = concurrence_x(bd_to_xstate(evolved_vector(ChannelKind.PHASE_DAMPING, r0, p)))
         if q.value > 0:
             assert q.branch == branch
+
+
+def test_columns_match_single_states():
+    # A lattice full of ties and signed zeros: the array path (np.where) must
+    # pick the same value and index as the number path, and the index must
+    # follow argmin (HS) and the stable middle of three (trace).
+    vals = (0.0, -0.0, 0.1, -0.1, 0.2, -0.2, 0.5, -0.5, 1.0, -1.0)
+    states = []
+    for t in itertools.product(vals, repeat=3):
+        try:
+            states.append(CorrelationVector(*t))
+        except NonPhysical:
+            continue
+    r1, r2, r3 = np.array([(r.r1, r.r2, r.r3) for r in states]).T
+    d_hs, i_hs = hs_discord_columns(r1, r2, r3)
+    d_tr, i_tr = trace_discord_columns(r1, r2, r3)
+    e_hs = hs_entanglement_columns(r1, r2, r3)
+    a, b, c, d, e, f = bd_xstate_columns(r1, r2, r3)
+    conc, k = concurrence_columns(a, b, c, d, abs(e), abs(f))
+    for n, r in enumerate(states):
+        assert (d_hs[n], "D%d" % (i_hs[n] + 1)) == (hs_discord(r).value, hs_discord(r).branch)
+        assert (d_tr[n], "r%d" % (i_tr[n] + 1)) == (trace_discord(r).value, trace_discord(r).branch)
+        assert e_hs[n] == hs_entanglement(r).value
+        cx = concurrence_x(bd_to_xstate(r))
+        assert (conc[n], "C%d" % k[n] if k[n] else None) == (cx.value, cx.branch)
+    np.testing.assert_array_equal(i_hs, np.argmin(hs_axis_distances(r1, r2, r3), axis=0))
+    s_abs = np.abs(np.stack([r1, r2, r3], axis=1))
+    np.testing.assert_array_equal(i_tr, np.argsort(s_abs, axis=1, kind="stable")[:, 1])
