@@ -155,19 +155,11 @@ def inverse_decay_p(kind: ChannelKind, g: float) -> float:
     return 1.0 - root
 
 
-def parse_channel_spec(spec: str) -> tuple[ChannelKind, float | None]:
-    """Parse a channel spec string like "pd" or "pd:0.3" into (kind, p)."""
-    name, _, ptext = spec.partition(":")
+def parse_channel_spec(spec: str) -> ChannelKind:
+    """Parse a channel name like "pd" (any case) into its kind."""
     try:
-        kind = ChannelKind(name.strip().lower())
+        return ChannelKind(spec.strip().lower())
     except ValueError:
         raise OutOfRange(
-            "unknown channel %r (expected pd, bf, bpf, pf or depol)" % name
+            "unknown channel %r (expected pd, bf, bpf, pf or depol)" % spec
         ) from None
-    if not ptext:
-        return kind, None
-    try:
-        p = float(ptext)
-    except ValueError:
-        raise OutOfRange("channel probability %r is not a number" % ptext) from None
-    return kind, _check_p(p)

@@ -89,15 +89,6 @@ def _initial_state(args) -> CorrelationVector:
     raise ConfigError("state: one of --state or --xstate is required")
 
 
-def _channel_kind(args, allow_fixed_p: bool = False):
-    kind, p = parse_channel_spec(args.channel)
-    if p is not None and not allow_fixed_p:
-        raise ConfigError(
-            "channel: a fixed probability (%r) is not allowed for sweep commands" % args.channel
-        )
-    return kind
-
-
 def _write_events(traj, out_csv: str):
     events = [
         {
@@ -130,7 +121,7 @@ def _write_columns(path: str, header: str, columns) -> None:
 
 
 def cmd_simulate(args) -> int:
-    kind = _channel_kind(args)
+    kind = parse_channel_spec(args.channel)
     r0 = _initial_state(args)
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
     _write_columns(
@@ -145,7 +136,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    kind = _channel_kind(args)
+    kind = parse_channel_spec(args.channel)
     norm = Norm(args.norm)
     r0 = _initial_state(args)
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
@@ -160,7 +151,7 @@ def cmd_relate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    kind = _channel_kind(args)
+    kind = parse_channel_spec(args.channel)
     r0 = _initial_state(args)
     traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
     hs = d_vs_e_curve(traj, Norm.HS)

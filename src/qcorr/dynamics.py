@@ -86,6 +86,36 @@ def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
+def _switches(values, branch, lo: float, hi: float, i: int, j: int) -> list[float]:
+    """Branch switches inside a grid cell whose branch is i at lo and j at hi.
+
+    A switch is bisected on values(x)[j] - values(x)[i] when that difference
+    changes sign over the cell.  The same nonzero sign at both ends means the
+    branch passed through the third one in between: the cell is then split at
+    its midpoint until each part brackets one switch, or is narrower than
+    _REFINE_TOL.  A zero at either end is a tie-break, not a value crossing.
+    """
+
+    def f(x):
+        v = values(x)
+        return v[j] - v[i]
+
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0 or fb == 0.0:
+        return []
+    if (fa > 0.0) != (fb > 0.0):
+        return [_bisect(f, lo, hi)]
+    if hi - lo <= _REFINE_TOL:
+        return []
+    mid = 0.5 * (lo + hi)
+    m = branch(mid)
+    found = []
+    for a, b, ia, ib in ((lo, mid, i, m), (mid, hi, m, j)):
+        if ia != ib:
+            found += _switches(values, branch, a, b, ia, ib)
+    return found
+
+
 def _match_analytic(p: float, candidates) -> float | None:
     best = None
     for c in candidates:
@@ -145,35 +175,34 @@ def run_trajectory(
     except NotEntangled:
         death = None
     records = traj.event_records
-    for norm, labels, values_of in (
-        (Norm.HS, traj.branch_hs, lambda v: hs_axis_distances(v.r1, v.r2, v.r3)),
-        (Norm.TRACE, traj.branch_tr, CorrelationVector.abs_triple),
+    for norm, labels, values_of, pick in (
+        (Norm.HS, traj.branch_hs, hs_axis_distances, hs_discord_columns),
+        (Norm.TRACE, traj.branch_tr, lambda *r: tuple(map(abs, r)), trace_discord_columns),
     ):
         try:
             changes = critical_times(RelationCase(channel, norm, r0)).sudden_changes
         except DegenerateOrdering:
             changes = ()
+
+        def values(x):
+            v = evolved_vector(channel, r0, x)
+            return values_of(v.r1, v.r2, v.r3)
+
+        def branch(x):
+            v = evolved_vector(channel, r0, x)
+            return pick(v.r1, v.r2, v.r3)[1]
+
         for k in np.flatnonzero(labels[1:] != labels[:-1]):
             i, j = int(labels[k][1]) - 1, int(labels[k + 1][1]) - 1
-
-            def f(x, values_of=values_of, i=i, j=j):
-                v = values_of(evolved_vector(channel, r0, x))
-                return v[j] - v[i]
-
-            lo, hi = float(p[k]), float(p[k + 1])
-            fa, fb = f(lo), f(hi)
-            if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
-                # label flipped on a tie-break without a value crossing
-                continue
-            p_star = _bisect(f, lo, hi)
-            records.append(
-                EventRecord(
-                    kind=SUDDEN_CHANGE,
-                    norm=norm,
-                    p_detected=p_star,
-                    p_analytic=_match_analytic(p_star, changes),
+            for p_star in _switches(values, branch, float(p[k]), float(p[k + 1]), i, j):
+                records.append(
+                    EventRecord(
+                        kind=SUDDEN_CHANGE,
+                        norm=norm,
+                        p_detected=p_star,
+                        p_analytic=_match_analytic(p_star, changes),
+                    )
                 )
-            )
 
     def margin(x: float) -> float:
         v = evolved_vector(channel, r0, x)

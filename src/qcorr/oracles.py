@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .quantifiers import Norm
-from .states import CorrelationVector, XState, bd_to_density
+from .states import SIGMA_PAIR, CorrelationVector, XState, bd_to_density
 
 # points per axis of every search grid
 _GRID_POINTS = 21
@@ -101,21 +101,7 @@ def _axis_density_stack(base: np.ndarray, axis: int, ts: np.ndarray) -> np.ndarr
     matrices are real in the computational basis, so the differences can be
     diagonalized as real symmetric matrices.
     """
-    deltas = np.broadcast_to(base, (len(ts), 4, 4)).copy()
-    quarter = ts / 4.0
-    if axis == 0:  # sigma1 x sigma1: full anti-diagonal
-        idx = ((0, 1, 2, 3), (3, 2, 1, 0))
-        for i, j in zip(*idx):
-            deltas[:, i, j] -= quarter
-    elif axis == 1:  # sigma2 x sigma2: anti-diagonal with signs (-, +, +, -)
-        signs = (-1.0, 1.0, 1.0, -1.0)
-        for (i, j), sg in zip(((0, 3), (1, 2), (2, 1), (3, 0)), signs):
-            deltas[:, i, j] -= sg * quarter
-    else:  # sigma3 x sigma3: diagonal (+, -, -, +)
-        signs = (1.0, -1.0, -1.0, 1.0)
-        for k, sg in enumerate(signs):
-            deltas[:, k, k] -= sg * quarter
-    return deltas
+    return base - (ts / 4.0)[:, None, None] * SIGMA_PAIR[axis].real
 
 
 def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:

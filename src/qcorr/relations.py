@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .channels import PRESERVED_AXIS, ChannelKind, evolved_vector, inverse_decay_p
 from .errors import (
@@ -26,8 +27,8 @@ from .errors import (
     OutOfRange,
     WindowViolation,
 )
-from .quantifiers import Norm, concurrence_x, hs_axis_distances
-from .states import CorrelationVector, bd_to_xstate
+from .quantifiers import Norm, concurrence_columns, hs_axis_distances
+from .states import CorrelationVector, bd_xstate_columns
 
 _ORDER_TOL = 1e-12
 _WINDOW_TOL = 1e-9
@@ -40,6 +41,11 @@ class RelationCase:
     channel: ChannelKind
     norm: Norm
     initial: CorrelationVector
+
+    @cached_property
+    def frame(self) -> Frame:
+        """canonical_frame of the initial state, derived once per case."""
+        return canonical_frame(self.channel, self.initial)
 
 
 @dataclass(frozen=True)
@@ -61,38 +67,47 @@ def ordering(r: CorrelationVector) -> tuple[int, int, int]:
     return tuple(sorted((1, 2, 3), key=lambda k: s[k - 1]))
 
 
-# canonical slot -> original axis: the decaying axes in ascending order, then
-# the preserved axis (a stable sort on "is preserved")
-_PERM = {
-    kind: tuple(sorted(range(3), key=lambda k: k == keep))
-    for kind, keep in PRESERVED_AXIS.items()
-}
+class Frame(NamedTuple):
+    """The initial state in the channel-canonical order: perm maps canonical
+    slot to original axis, u holds the components and s their moduli.  g_sd is
+    the decay factor at which the evolved state reaches the octahedron (None
+    when it is separable); branch is the winning concurrence branch of u:
+    1 (C1), 2 (C2) or 0 (C = 0).
+    """
+
+    perm: tuple[int, int, int]
+    u: tuple[float, float, float]
+    s: tuple[float, float, float]
+    g_sd: float | None
+    branch: int
 
 
-def _canonical(channel: ChannelKind, r: CorrelationVector):
-    perm = _PERM[channel]
+def canonical_frame(channel: ChannelKind, r: CorrelationVector) -> Frame:
+    """The Frame of r under the channel; RelationCase.frame caches it per case."""
+    # canonical slot -> original axis: the decaying axes in ascending order,
+    # then the preserved axis (a stable sort on "is preserved")
+    perm = tuple(sorted(range(3), key=lambda k: k == PRESERVED_AXIS[channel]))
     rv = (r.r1, r.r2, r.r3)
     u = tuple(rv[j] for j in perm)
     s = tuple(abs(v) for v in u)
-    return perm, u, s
-
-
-def _death_factor(channel: ChannelKind, r: CorrelationVector) -> float:
-    """Decay factor g at which the evolved state reaches the octahedron."""
-    _, _, s = _canonical(channel, r)
     if sum(s) <= 1.0:
-        raise NotEntangled(
-            "initial state (%g, %g, %g) is separable" % (r.r1, r.r2, r.r3)
-        )
-    if channel is ChannelKind.DEPOLARIZING:
-        return 1.0 / sum(s)
-    return (1.0 - s[2]) / (s[0] + s[1])
+        g_sd = None
+    elif channel is ChannelKind.DEPOLARIZING:
+        g_sd = 1.0 / sum(s)
+    else:
+        g_sd = (1.0 - s[2]) / (s[0] + s[1])
+    a, b, c, d, e, f = bd_xstate_columns(*u)
+    _, branch = concurrence_columns(a, b, c, d, abs(e), abs(f))
+    return Frame(perm, u, s, g_sd, branch)
 
 
 def sudden_death_time(channel: ChannelKind, r: CorrelationVector) -> float:
     """Analytic entanglement sudden-death time; raises NotEntangled when the
     initial state already lies inside the separable octahedron."""
-    return inverse_decay_p(channel, _death_factor(channel, r))
+    g_sd = canonical_frame(channel, r).g_sd
+    if g_sd is None:
+        raise NotEntangled("initial state (%g, %g, %g) is separable" % (r.r1, r.r2, r.r3))
+    return inverse_decay_p(channel, g_sd)
 
 
 def _mirrored(channel: ChannelKind, p: float) -> list[float]:
@@ -114,9 +129,9 @@ def critical_times(case: RelationCase) -> CriticalTimes:
     """
     ordering(case.initial)
     channel = case.channel
+    s, g_sd = case.frame.s, case.frame.g_sd
     changes: list[float] = []
     if channel is not ChannelKind.DEPOLARIZING:
-        _, _, s = _canonical(channel, case.initial)
         if case.norm is Norm.HS:
             smax = max(s[0], s[1])
             if smax > s[2] > 0.0:
@@ -125,10 +140,7 @@ def critical_times(case: RelationCase) -> CriticalTimes:
             for si in (s[0], s[1]):
                 if si > s[2] > 0.0:
                     changes += _mirrored(channel, inverse_decay_p(channel, s[2] / si))
-    try:
-        death = sudden_death_time(channel, case.initial)
-    except NotEntangled:
-        death = None
+    death = None if g_sd is None else inverse_decay_p(channel, g_sd)
     return CriticalTimes(sudden_changes=tuple(sorted(changes)), sudden_death=death)
 
 
@@ -146,7 +158,7 @@ def extrapolation_start(case: RelationCase) -> float:
     except DegenerateOrdering:
         return math.inf
     # a change means a decaying |u_i| above the preserved |u_3|; single when the other is below
-    _, _, s = _canonical(case.channel, case.initial)
+    s = case.frame.s
     return changes[0] if changes and min(s[0], s[1]) < s[2] else math.inf
 
 
@@ -158,18 +170,15 @@ def _branch_index(label: str | None, prefix: str) -> int:
     raise BranchUnknown("unrecognized branch label %r" % label)
 
 
-def _p_from_factor(channel: ChannelKind, g: float, what: str) -> float:
-    if g > 1.0 + _WINDOW_TOL:
-        raise WindowViolation("%s exceeds its initial value (factor %.12g > 1)" % (what, g))
-    return inverse_decay_p(channel, min(g, 1.0))
-
-
-def _check_death_window(channel: ChannelKind, r: CorrelationVector, g: float, what: str):
-    g_sd = _death_factor(channel, r)
+def _p_in_window(channel: ChannelKind, g: float, g_sd: float, what: str) -> float:
+    """p in [0, p_SD] at which the decay factor equals g; WindowViolation outside."""
     if g < g_sd - _WINDOW_TOL:
         raise WindowViolation(
             "%s lies beyond sudden death (factor %.12g < %.12g)" % (what, g, g_sd)
         )
+    if g > 1.0 + _WINDOW_TOL:
+        raise WindowViolation("%s exceeds its initial value (factor %.12g > 1)" % (what, g))
+    return inverse_decay_p(channel, min(g, 1.0))
 
 
 def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | None = None) -> float:
@@ -184,32 +193,25 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
     if E < 0.0:
         raise OutOfRange("entanglement E = %g is negative" % E)
     channel = case.channel
-    perm, _, s = _canonical(channel, case.initial)
+    perm, _, s, g_sd, _ = case.frame
+    if g_sd is None:  # read before dividing: (0, 0, 0) has no decaying components
+        raise NotEntangled("initial state is separable")
     root = (3.0 * E) ** 0.5
     if channel is ChannelKind.DEPOLARIZING:
-        total = sum(s)
-        if total <= 1.0:
-            raise NotEntangled("initial state is separable")
-        g = (root + 1.0) / total
+        g = (root + 1.0) / sum(s)
     else:
-        if s[0] + s[1] == 0.0:
-            raise NotEntangled("initial state has no decaying components")
         g = (root - s[2] + 1.0) / (s[0] + s[1])
-    _check_death_window(channel, case.initial, g, "E")
-    p = _p_from_factor(channel, g, "E")
+    p = _p_in_window(channel, g, g_sd, "E")
     v = evolved_vector(channel, case.initial, p)
     d = hs_axis_distances(v.r1, v.r2, v.r3)
     if d[idx] > min(d) + _WINDOW_TOL:
         raise WindowViolation("branch D%d is not active at p = %.9g" % (idx + 1, p))
     gsq = g * g
-    if channel is ChannelKind.DEPOLARIZING:
-        others = [s[k] for k in range(3) if k != idx]
-        return gsq * (others[0] ** 2 + others[1] ** 2)
     slot = perm.index(idx)
-    if slot == 2:  # distance to the preserved axis
-        return (s[0] ** 2 + s[1] ** 2) * gsq
-    other = 1 - slot
-    return s[other] ** 2 * gsq + s[2] ** 2
+    if channel is ChannelKind.DEPOLARIZING or slot == 2:  # every other axis decays
+        a, b = (s[k] for k in range(3) if k != slot)
+        return (a ** 2 + b ** 2) * gsq
+    return s[1 - slot] ** 2 * gsq + s[2] ** 2
 
 
 def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | None = None) -> float:
@@ -224,27 +226,19 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     if C < 0.0:
         raise OutOfRange("concurrence C = %g is negative" % C)
     channel = case.channel
-    perm, u, s = _canonical(channel, case.initial)
-    cx = concurrence_x(bd_to_xstate(CorrelationVector(*u)))
-    if cx.branch is None:
+    perm, u, s, g_sd, branch = case.frame
+    if not branch or g_sd is None:
         raise NotEntangled("initial state has zero concurrence")
+    sign = -1.0 if branch == 1 else 1.0  # the pairing's sign: C1 -, C2 +
     if channel is ChannelKind.DEPOLARIZING:
-        if cx.branch == "C1":
-            denom = abs(u[0] - u[1]) + u[2]
-        else:
-            denom = abs(u[0] + u[1]) - u[2]
-        g = (2.0 * C + 1.0) / denom
+        g = (2.0 * C + 1.0) / (abs(u[0] + sign * u[1]) - sign * u[2])
     else:
-        if cx.branch == "C1":
-            amp, off = abs(u[1] - u[0]), abs(1.0 - u[2])
-        else:
-            amp, off = abs(u[1] + u[0]), abs(1.0 + u[2])
-        g = (2.0 * C + off) / amp
-    _check_death_window(channel, case.initial, g, "C")
-    p = _p_from_factor(channel, g, "C")
+        g = (2.0 * C + abs(1.0 + sign * u[2])) / abs(u[1] + sign * u[0])
+    p = _p_in_window(channel, g, g_sd, "C")
     sv = evolved_vector(channel, case.initial, p).abs_triple()
     if abs(sv[idx] - sorted(sv)[1]) > _WINDOW_TOL:
         raise WindowViolation("piece r%d is not active at p = %.9g" % (idx + 1, p))
-    if channel is not ChannelKind.DEPOLARIZING and perm.index(idx) == 2:
+    slot = perm.index(idx)
+    if channel is not ChannelKind.DEPOLARIZING and slot == 2:
         return s[2]
-    return abs((case.initial.r1, case.initial.r2, case.initial.r3)[idx]) * g
+    return s[slot] * g

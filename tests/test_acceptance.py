@@ -10,7 +10,14 @@ import json
 import numpy as np
 
 from conftest import REF
-from qcorr.channels import ChannelKind, apply_local_pair, evolved_vector, kraus_for, monotone_p_max
+from qcorr.channels import (
+    ChannelKind,
+    apply_local_pair,
+    decay_factors,
+    evolved_vector,
+    kraus_for,
+    monotone_p_max,
+)
 from qcorr.cli import main
 from qcorr.dynamics import SUDDEN_CHANGE, SUDDEN_DEATH, contractivity_scan, run_trajectory
 from qcorr.oracles import (
@@ -22,10 +29,14 @@ from qcorr.oracles import (
 )
 from qcorr.quantifiers import (
     Norm,
+    concurrence_columns,
     concurrence_x,
     hs_discord,
+    hs_discord_columns,
     hs_entanglement,
+    hs_entanglement_columns,
     trace_discord,
+    trace_discord_columns,
     wootters_concurrence,
 )
 from qcorr.relations import (
@@ -36,7 +47,13 @@ from qcorr.relations import (
     trace_discord_from_concurrence,
 )
 from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate, random_xstate
-from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate, density_to_bd
+from qcorr.states import (
+    CorrelationVector,
+    XState,
+    bd_to_density,
+    bd_xstate_columns,
+    density_to_bd,
+)
 from qcorr.verify import physical_grid
 
 R0 = CorrelationVector(*REF)
@@ -134,17 +151,22 @@ def test_criterion_06_relation_identity():
             case_tr = RelationCase(kind, Norm.TRACE, r)
             p_sd = sudden_death_time(kind, r)
             ps = np.arange(0.0, p_sd, 1e-3)
-            for p in ps:
-                rv = evolved_vector(kind, r, p)
-                d = hs_discord(rv)
-                rec = hs_discord_from_entanglement(
-                    hs_entanglement(rv).value, case_hs, branch=d.branch
-                )
-                dev = max(dev, abs(rec - d.value))
-                t = trace_discord(rv)
-                c = concurrence_x(bd_to_xstate(rv)).value
-                rec = trace_discord_from_concurrence(c, case_tr, piece=t.branch)
-                dev = max(dev, abs(rec - t.value))
+            # the direct E, D, C and labels at every p, one column call each; the
+            # column forms equal the single-state quantifiers bit for bit
+            rv = r.as_array() * np.stack(np.broadcast_arrays(*decay_factors(kind, ps)), axis=-1)
+            d_hs, i_hs = hs_discord_columns(*rv.T)
+            d_tr, i_tr = trace_discord_columns(*rv.T)
+            xa, xb, xc, xd, xe, xf = bd_xstate_columns(*rv.T)
+            conc, _ = concurrence_columns(xa, xb, xc, xd, abs(xe), abs(xf))
+            points = zip(
+                hs_entanglement_columns(*rv.T).tolist(), d_hs.tolist(), i_hs.tolist(),
+                conc.tolist(), d_tr.tolist(), i_tr.tolist(),
+            )
+            for e, d, i, c, t, j in points:
+                rec = hs_discord_from_entanglement(e, case_hs, branch="D%d" % (i + 1))
+                dev = max(dev, abs(rec - d))
+                rec = trace_discord_from_concurrence(c, case_tr, piece="r%d" % (j + 1))
+                dev = max(dev, abs(rec - t))
     _report(6, "relation_identity", dev <= 1e-9, "dev=%.3e" % dev)
 
 

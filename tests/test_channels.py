@@ -97,10 +97,10 @@ def test_decay_factors_monotone(kind):
 
 
 def test_parse_channel_spec():
-    assert parse_channel_spec("pd") == (ChannelKind.PHASE_DAMPING, None)
-    assert parse_channel_spec("depol:0.3") == (ChannelKind.DEPOLARIZING, 0.3)
-    assert parse_channel_spec("BPF:0.25") == (ChannelKind.BIT_PHASE_FLIP, 0.25)
-    with pytest.raises(OutOfRange):
-        parse_channel_spec("amp:0.1")
-    with pytest.raises(OutOfRange):
-        parse_channel_spec("pd:1.2")
+    assert parse_channel_spec("pd") == ChannelKind.PHASE_DAMPING
+    assert parse_channel_spec("BPF") == ChannelKind.BIT_PHASE_FLIP
+    assert parse_channel_spec(" depol ") == ChannelKind.DEPOLARIZING
+    # no probability suffix: "pd:0.3" is an unknown channel name
+    for spec in ("amp", "pd:0.3", "depol:0.3", ""):
+        with pytest.raises(OutOfRange, match="unknown channel"):
+            parse_channel_spec(spec)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import REF
 from qcorr.cli import main
@@ -194,7 +199,8 @@ def test_fixed_p_rejected_for_sweeps(tmp_path, capsys):
         capsys, "simulate", "--channel", "pd:0.3", "--state", STATE,
         "--out", str(tmp_path / "t.csv"),
     )
-    assert code == 2 and "fixed probability" in stderr
+    assert code == 2 and stderr.count("\n") == 1
+    assert stderr.startswith("ConfigError: unknown channel 'pd:0.3'")
 
 
 def test_xstate_input(tmp_path, capsys):
@@ -259,3 +265,67 @@ def test_verify_empty_sizes_exit2(sizes, tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify", *sizes, "--out", str(tmp_path / "v.json"))
     assert code == 2 and stdout == ""
     assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
+
+
+# each sweep option has valid values and broken ones; an argv breaks at most two
+_SWEEP_OPTIONS = {
+    "--channel": (("pd", "bf", "bpf", "pf", "depol", "PD"), ("pd:0.3", "amp", "")),
+    "--state": (
+        ("0.65,0.59,-0.38", "0.9,-0.3,0.2", "0.5,0.5,-0.5", "-0.0,0,1", "0.2,0.1,0.05"),
+        ("nan,0,0", "0,-inf,0", "1e308,0,0", "2,0,0", "0.5,0.5", "a,b,c", "0.1,0.1,0.1,0.1"),
+    ),
+    "--pmax": (("1", "0.3", "1e-300"), ("0", "-1", "nan", "inf", "1.5", "x")),
+    # sample counts that cannot allocate: too few, few, the default, or beyond any array
+    "--samples": (("2", "3", "11", "1001"), ("-1", "0", "1", str(10**20), "1e3")),
+}
+_XSTATE_TEXTS = (
+    json.dumps({"diag": [0.4, 0.1, 0.1, 0.4], "e": [0.3, 0.0], "f": [0.0, 0.0]}),
+    json.dumps({"diag": [0.25] * 4, "e": [0.0, 0.1], "f": [0.2, 0.0]}),
+    json.dumps({"diag": [float("nan"), 0.1, 0.1, 0.4], "e": [0.3, 0.0], "f": [0.0, 0.0]}),
+    json.dumps({"diag": [0.25] * 4, "e": [1e308, 0.0], "f": [0.0, -1e308]}),
+    json.dumps({"diag": [0.25] * 4, "e": [0.0, float("inf")], "f": [0.0, 0.0]}),
+    json.dumps({"diag": [0.25, 0.25], "e": [0.0], "f": "x"}),
+    '{"diag": [0.25, 0.25, 0.25, 0.25], "e": [0.1,',
+    "null",
+    "[]",
+)
+
+
+@st.composite
+def _argv(draw):
+    """argv for a sweep command, or for a minimal verify with an extra X state."""
+    command = draw(st.sampled_from(("verify", "simulate", "relate", "curve")))
+    if command == "verify":
+        return ["verify", "--grid", "1", "--xstates", "1", "--wootters", "1"], draw(
+            st.sampled_from(_XSTATE_TEXTS)
+        )
+    broken = draw(st.sets(st.sampled_from(sorted(_SWEEP_OPTIONS)), max_size=2))
+    argv = [command]
+    for option, (good, bad) in _SWEEP_OPTIONS.items():
+        argv += [option, draw(st.sampled_from(bad if option in broken else good))]
+    if command == "relate":
+        argv += ["--norm", draw(st.sampled_from(("hs", "trace", "both")))]
+    return argv, None
+
+
+@given(_argv())
+def test_cli_exit_contract(case):
+    """Every argv exits with a documented code; a failure prints exactly one
+    stderr line and no traceback."""
+    argv, xstate_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if xstate_text is not None:
+            path = Path(tmp) / "x.json"
+            path.write_text(xstate_text)
+            argv = argv + ["--xstate", str(path)]
+        argv = argv + ["--out", str(Path(tmp) / "out.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr
+    if code == 0:
+        assert stderr == ""
+    else:
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")

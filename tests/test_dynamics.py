@@ -137,6 +137,29 @@ def test_phase_flip_revival_events():
         assert e.p_analytic is not None and abs(e.p_detected - e.p_analytic) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "kind, state, n_samples",
+    [
+        # r2 -> r3 -> r1 within the cell [0, 0.5]
+        (PD, REF, 3),
+        # crossings 0.35729 and 0.35782 in [0.357, 0.358], and their mirror images
+        (ChannelKind.PHASE_FLIP, (0.2919, 0.2897, 0.0236), 1001),
+    ],
+)
+def test_two_switches_in_one_cell_detected(kind, state, n_samples):
+    from qcorr.relations import RelationCase, critical_times
+
+    r0 = CorrelationVector(*state)
+    traj = run_trajectory(kind, r0, 1.0, n_samples)
+    for norm in Norm:
+        detected = sorted(e.p_detected for e in _changes(traj, norm))
+        analytic = critical_times(RelationCase(kind, norm, r0)).sudden_changes
+        assert len(detected) == len(analytic)
+        for d, a in zip(detected, analytic):
+            assert abs(d - a) <= 1e-6
+    assert len(_changes(traj, Norm.TRACE)) == (2 if kind is PD else 4)
+
+
 def test_contractivity_identical_pair():
     rep = contractivity_scan(PD, [(R0, R0)], np.linspace(0, 1, 21))
     assert rep.max_increase_hs == 0.0 and rep.max_increase_trace == 0.0

@@ -5,8 +5,9 @@ relate --norm hs, relate --norm trace and curve (CSV and stdout each) at the
 default 1001 samples, on the reference state and on (0.9, -0.3, 0.2).  A
 second set covers the degenerate orderings (0.5, 0.5, -0.5) and
 (-0.7, -0.7, -0.7), whose tied moduli pin the lowest-index tie-breaking of
-the branch labels.  A refactor of the trajectory or relation code must leave
-every hash unchanged.
+the branch labels.  RELATION pins both relation inverses, which the CLI
+never calls.  A refactor of the trajectory or relation code must leave every
+hash unchanged.
 """
 
 import hashlib
@@ -14,7 +15,15 @@ import hashlib
 import pytest
 
 from conftest import REF
+from qcorr.channels import ChannelKind, evolved_vector
 from qcorr.cli import main
+from qcorr.quantifiers import Norm, concurrence_x, hs_entanglement
+from qcorr.relations import (
+    RelationCase,
+    hs_discord_from_entanglement,
+    trace_discord_from_concurrence,
+)
+from qcorr.states import CorrelationVector, bd_to_xstate
 
 STATES = (REF, (0.9, -0.3, 0.2))
 DEGENERATE_STATES = ((0.5, 0.5, -0.5), (-0.7, -0.7, -0.7))
@@ -68,3 +77,50 @@ def test_golden_outputs(channel, tmp_path, capsys):
 @pytest.mark.parametrize("channel", sorted(DEGENERATE))
 def test_golden_outputs_degenerate(channel, tmp_path, capsys):
     assert _channel_digest(channel, DEGENERATE_STATES, tmp_path, capsys) == DEGENERATE[channel]
+
+
+# states x 5 channels x p x every label (and none) of both inverses, plus E
+# and C inputs that no p reaches.  The permuted reference states move its
+# preserved axis to the bit-flip and bit-phase-flip axes; (1, 1, -1) is a Bell
+# vertex, and the last three are degenerate or separable.
+RELATION_STATES = (
+    REF,
+    (-0.38, 0.65, 0.59),
+    (0.65, -0.38, 0.59),
+    (0.9, -0.3, 0.2),
+    (-0.3, 0.8, 0.45),
+    (1.0, 1.0, -1.0),
+    (0.5, 0.5, -0.5),
+    (0.2, 0.1, 0.05),
+    (0.0, 0.0, 0.0),
+)
+RELATION_P = (0.0, 0.05, 0.1, 0.2, 0.25, 0.3)
+RELATION_EXTRA = (-1.0, float("nan"), float("inf"), 2.0)
+RELATION = "49394f61bda4685ad8057e53d19f1f62a7ed30df5e2975cce412e73042507ee0"
+
+
+def _outcome(fn, *args) -> bytes:
+    """repr of the value, or the exception type name: messages are not pinned."""
+    try:
+        return repr(fn(*args)).encode()
+    except Exception as exc:  # a raised outcome is pinned like a returned one
+        return type(exc).__name__.encode()
+
+
+def test_golden_relation_inverses():
+    h = hashlib.sha256()
+    for state in RELATION_STATES:
+        r0 = CorrelationVector(*state)
+        for kind in ChannelKind:
+            case_hs = RelationCase(kind, Norm.HS, r0)
+            case_tr = RelationCase(kind, Norm.TRACE, r0)
+            evolved = [evolved_vector(kind, r0, p) for p in RELATION_P]
+            es = [hs_entanglement(v).value for v in evolved] + list(RELATION_EXTRA)
+            cs = [concurrence_x(bd_to_xstate(v)).value for v in evolved] + list(RELATION_EXTRA)
+            for e, c in zip(es, cs):
+                for k in (None, "1", "2", "3"):
+                    d_label = None if k is None else "D" + k
+                    r_label = None if k is None else "r" + k
+                    h.update(_outcome(hs_discord_from_entanglement, e, case_hs, d_label) + b"\0")
+                    h.update(_outcome(trace_discord_from_concurrence, c, case_tr, r_label) + b"\0")
+    assert h.hexdigest() == RELATION

@@ -211,5 +211,5 @@ def test_relation_identity_random():
     rng = np.random.default_rng(7)
     for _ in range(20):
         r = random_entangled_bd(rng, min_gap=1e-3)
-        for kind in (PD, BF, BPF, DEP):
+        for kind in (PD, BF, BPF, DEP, PF):
             assert _identity_sweep(r0=r, kind=kind, n=60) < 1e-9
