@@ -32,10 +32,13 @@ from .errors import (
 from .oracles import (
     OracleResult,
     SeparableXCandidate,
+    candidate_distances,
     clamped_minimizer,
     closest_classical,
+    closest_classical_many,
     closest_separable_hs,
     closest_separable_trace_xfamily,
+    closest_separable_trace_xfamily_many,
     trace_norm,
 )
 from .quantifiers import (

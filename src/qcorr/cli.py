@@ -1,9 +1,10 @@
 """Command-line interface: trajectory simulation, relation curves, oracle
 verification and curve export.
 
-Exit codes: 0 success, 2 configuration error, 3 non-physical state,
-4 empty discord-entanglement window, 5 verification tolerance exceeded.
-Every failure prints exactly one diagnostic line on stderr.
+Exit codes: 0 success, 2 configuration error or any other qcorr error,
+3 non-physical state, 4 empty discord-entanglement window, 5 verification
+tolerance exceeded.  Every failure prints exactly one diagnostic line on
+stderr, led by the error's type name.
 """
 
 from __future__ import annotations
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
     except EmptyWindow as exc:
         print("EmptyWindow: %s" % exc, file=sys.stderr)
         return 4
+    except QcorrError as exc:  # NumericalFailure, NotEntangled and the rest
+        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 def entry():  # console-script wrapper

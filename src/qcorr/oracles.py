@@ -17,11 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .quantifiers import Norm
+from .quantifiers import Norm, square
 from .states import SIGMA_PAIR, CorrelationVector, XState, bd_to_density
 
-# points per axis of every search grid
+# points per axis of every search grid, and their indices
 _GRID_POINTS = 21
+_STEPS = np.arange(_GRID_POINTS, dtype=float)
+
+# searches advanced together by _grid_min: bounds each level's stack of points
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -39,14 +43,15 @@ class OracleResult:
     evaluations: int
 
 
-def trace_norm(delta: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    delta = np.asarray(delta)
+def trace_norm(delta: np.ndarray):
+    """Trace norm of a Hermitian matrix, the sum of its absolute eigenvalues; a
+    float for one matrix, an array for a stack of them (one batched eigensolve)."""
     try:
         w = np.linalg.eigvalsh(delta)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolve failed: %s" % exc) from exc
-    return float(np.sum(np.abs(w)))
+    norms = np.abs(w).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def hs_operator_sq(delta: np.ndarray) -> float:
@@ -55,37 +60,55 @@ def hs_operator_sq(delta: np.ndarray) -> float:
     return float(np.sum(np.abs(delta) ** 2))
 
 
-def _trace_norms(deltas: np.ndarray) -> np.ndarray:
-    """Trace norms of a stack of Hermitian matrices, one batched eigensolve."""
-    try:
-        w = np.linalg.eigvalsh(deltas)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigensolve failed: %s" % exc) from exc
-    return np.abs(w).sum(axis=-1)
+def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
+    """Minimize convex functions, search s on the box [lo[s], hi[s]]^dims, by
+    grid zoom, all searches in lockstep.
 
-
-def _grid_min(f, lo: float, hi: float, dims: int, refine_to: float):
-    """Minimize the convex function f on the box [lo, hi]^dims by grid zoom.
-
-    The first grid of _GRID_POINTS points per axis spans the whole box.  Each
-    later grid is centred on the best point so far with a tenth of the
-    previous half-width, until the half-width is at most refine_to.  f takes
-    one coordinate array per axis and returns the values.  Returns
-    (best point, its value, evaluations).
+    A search's first grid of _GRID_POINTS points per axis spans its whole box.
+    Each later grid is centred on its best point so far with a tenth of the
+    previous half-width, until that half-width is at most refine_to; searches
+    with smaller boxes stop earlier.  f(active, *coords) evaluates the searches
+    whose indices are in active, with one (len(active), points) coordinate
+    array per axis, and returns the values in the same shape.  Searches run in
+    blocks of _BLOCK, which bounds the size of each level's stack.  Returns
+    the best points (S, dims), their values and the evaluations per search.
     """
-    best = ((lo + hi) / 2.0,) * dims
-    h = (hi - lo) / 2.0
-    evals = 0
-    while True:
-        axes = [np.clip(np.linspace(c - h, c + h, _GRID_POINTS), lo, hi) for c in best]
-        pts = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        vals = f(*pts)
-        evals += len(vals)
-        k = int(np.argmin(vals))
-        best, value = tuple(float(p[k]) for p in pts), float(vals[k])
-        h /= 10.0
-        if h <= refine_to:
-            return best, value, evals
+    n = len(lo)
+    best = np.empty((n, dims))
+    value = np.empty(n)
+    evals = np.empty(n, dtype=int)
+    # grid point k of a search sits at index mesh[d, k] of axis d: meshgrid "ij" order
+    mesh = np.indices((_GRID_POINTS,) * dims).reshape(dims, -1)
+    for start in range(0, n, _BLOCK):
+        active = np.arange(start, min(start + _BLOCK, n))
+        c = np.repeat(((lo[active] + hi[active]) / 2.0)[:, None], dims, axis=1)
+        h = ((hi[active] - lo[active]) / 2.0)[:, None]
+        lo_a, hi_a = lo[active, None, None], hi[active, None, None]
+        levels = 0
+        while len(active):
+            # the arithmetic of np.linspace(c - h, c + h, _GRID_POINTS) per axis
+            first, last = c - h, c + h
+            axes = _STEPS * ((last - first) / (_GRID_POINTS - 1))[..., None] + first[..., None]
+            axes[..., -1] = last
+            np.clip(axes, lo_a, hi_a, out=axes)
+            vals = f(active, *(axes[:, d, mesh[d]] for d in range(dims)))
+            k = vals.argmin(axis=1)
+            rows = np.arange(len(active))
+            c = axes[rows[:, None], np.arange(dims), mesh[:, k].T]
+            levels += 1
+            h = h / 10.0
+            done = (h <= refine_to)[:, 0]
+            if done.any():
+                finished = active[done]
+                best[finished], value[finished] = c[done], vals[rows[done], k[done]]
+                evals[finished] = levels * vals.shape[1]
+                keep = ~done
+                active, c, h, lo_a, hi_a = active[keep], c[keep], h[keep], lo_a[keep], hi_a[keep]
+    return best, value, evals
+
+
+# sigma_j x sigma_j as real matrices, stacked by axis
+_PAIR_REAL = np.stack([op.real for op in SIGMA_PAIR])
 
 
 def _axis_vector(axis: int, t: float) -> CorrelationVector:
@@ -94,47 +117,47 @@ def _axis_vector(axis: int, t: float) -> CorrelationVector:
     return CorrelationVector(*r)
 
 
-def _axis_density_stack(base: np.ndarray, axis: int, ts: np.ndarray) -> np.ndarray:
-    """Real symmetric stack rho(r) - rho(axis state t) for all t at once.
+def closest_classical_many(rs, norm: Norm) -> list[OracleResult]:
+    """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t), for
+    each state of rs.
 
-    base is rho(r) - I/4 (the identity parts cancel).  Bell-diagonal density
-    matrices are real in the computational basis, so the differences can be
-    diagonalized as real symmetric matrices.
+    Searches each axis t in [-1, 1] by grid zoom to 1e-8, all states and axes
+    in lockstep; ties go to the lowest axis.  HS distances are squared
+    Euclidean in r-space; trace distances are eigenvalue sums of the operator
+    difference rho(r) - rho(axis state t), diagonalized as real symmetric
+    matrices because Bell-diagonal density matrices are real.
     """
-    return base - (ts / 4.0)[:, None, None] * SIGMA_PAIR[axis].real
+    n = len(rs)
+    if norm is Norm.HS:
+        rv = np.array([r.as_array() for r in rs]).reshape(n, 3)
+        sq = square(rv)
+        # squared distance of r to axis k, over the other two components
+        rest = np.stack([sq[:, 1] + sq[:, 2], sq[:, 0] + sq[:, 2], sq[:, 0] + sq[:, 1]], axis=1)
+        r_axis, rest = rv.ravel()[:, None], rest.ravel()[:, None]
+
+        def f(active, t):
+            return (r_axis[active] - t) ** 2 + rest[active]
+    else:
+        # rho(r) - I/4: the identity parts of the difference cancel
+        base = np.array([bd_to_density(r).real for r in rs]).reshape(n, 4, 4) - np.eye(4) / 4.0
+        state, axis = np.divmod(np.arange(3 * n), 3)  # search 3 i + k: state i, axis k
+
+        def f(active, t):
+            ops = _PAIR_REAL[axis[active], None]
+            return trace_norm(base[state[active], None] - (t / 4.0)[:, :, None, None] * ops)
+
+    t, vals, evals = _grid_min(f, np.full(3 * n, -1.0), np.full(3 * n, 1.0), 1, 1e-8)
+    vals, t, evals = vals.reshape(n, 3), t.reshape(n, 3), evals.reshape(n, 3).sum(axis=1)
+    best = vals.argmin(axis=1).tolist()
+    return [
+        OracleResult(_axis_vector(k, float(t[i, k])), float(vals[i, k]), int(evals[i]))
+        for i, k in enumerate(best)
+    ]
 
 
 def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:
-    """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t).
-
-    Searches each axis t in [-1, 1] by grid zoom to 1e-8.  HS distances are
-    squared Euclidean in r-space; trace distances are eigenvalue sums of the
-    operator difference.
-    """
-    rv = r.as_array()
-    base = bd_to_density(r).real - np.eye(4) / 4.0
-    best = None
-    evals = 0
-
-    for axis in range(3):
-        if norm is Norm.HS:
-            rest = sum(rv[k] ** 2 for k in range(3) if k != axis)
-
-            def f(t, axis=axis, rest=rest):
-                return (rv[axis] - t) ** 2 + rest
-        else:
-            def f(t, axis=axis):
-                return _trace_norms(_axis_density_stack(base, axis, t))
-
-        (t_star,), f_star, n = _grid_min(f, -1.0, 1.0, 1, 1e-8)
-        evals += n
-        if best is None or f_star < best[0]:
-            best = (f_star, axis, t_star)
-
-    f_star, axis, t_star = best
-    return OracleResult(
-        minimizer=_axis_vector(axis, t_star), distance=float(f_star), evaluations=evals
-    )
+    """closest_classical_many of one state."""
+    return closest_classical_many([r], norm)[0]
 
 
 def _project_l1_ball(s: np.ndarray) -> np.ndarray:
@@ -170,54 +193,77 @@ def _phase(z: complex) -> complex:
     return z / abs(z) if abs(z) > 0.0 else 1.0 + 0.0j
 
 
-def _xdiff_trace_norms(abs_e: float, abs_f: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched trace norms of rho_X - sigma_X over candidate moduli (a, b).
+# the X shape of an operator difference, as indices into (0, |e| - a, |f| - b)
+_X_TEMPLATE = np.array([[0, 0, 0, 1], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]])
 
-    With the candidate phases aligned to e and f, conjugation by a diagonal
-    phase unitary turns every difference into a real symmetric matrix with
-    anti-diagonal entries |e| - a and |f| - b, leaving eigenvalues unchanged.
+
+def _separability_bound(x: XState) -> float:
+    """min(sqrt(ad), sqrt(bc)), the largest coherence modulus of a separable X
+    state with the populations of x."""
+    return min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
+
+
+def candidate_distances(xs, cands) -> np.ndarray:
+    """Trace distances ||rho_X - sigma_X||_1, sigma_X the X state with the
+    populations of x and the coherences of its candidate; one batched
+    eigensolve of the complex operator differences."""
+    diffs = [
+        x.to_density() - XState(x.a, x.b, x.c, x.d, c.e_prime, c.f_prime).to_density()
+        for x, c in zip(xs, cands)
+    ]
+    return trace_norm(np.array(diffs).reshape(len(xs), 4, 4))
+
+
+def closest_separable_trace_xfamily_many(xs) -> list[OracleResult]:
+    """Trace-norm closest separable X state with the same populations, for each
+    X state of xs.
+
+    Grid zoom to 1e-7 over the candidate moduli (|e'|, |f'|) in
+    [0, min(sqrt(ad), sqrt(bc))]^2, all states in lockstep; candidate phases
+    are aligned with e and f, where the minimum is attained.  With the phases
+    aligned, conjugation by a diagonal phase unitary turns every difference
+    into a real symmetric matrix with anti-diagonal entries |e| - a and
+    |f| - b, leaving eigenvalues unchanged.  States with a zero bound need no
+    search.  The reported distance is the trace norm of the full complex
+    difference rho_X - sigma_X.
     """
-    deltas = np.zeros((len(a), 4, 4))
-    de = abs_e - a
-    df = abs_f - b
-    deltas[:, 0, 3] = de
-    deltas[:, 3, 0] = de
-    deltas[:, 1, 2] = df
-    deltas[:, 2, 1] = df
-    return _trace_norms(deltas)
+    bound = np.array([_separability_bound(x) for x in xs])
+    searched = np.flatnonzero(bound != 0.0)
+    abs_e = np.array([abs(xs[i].e) for i in searched])[:, None]
+    abs_f = np.array([abs(xs[i].f) for i in searched])[:, None]
+
+    def f(active, a, b):
+        entries = np.zeros(a.shape + (3,))
+        np.subtract(abs_e[active], a, out=entries[..., 1])
+        np.subtract(abs_f[active], b, out=entries[..., 2])
+        return trace_norm(entries[..., _X_TEMPLATE])
+
+    moduli, _, search_evals = _grid_min(f, np.zeros(len(searched)), bound[searched], 2, 1e-7)
+    best = np.zeros((len(xs), 2))
+    best[searched] = moduli
+    evals = np.zeros(len(xs), dtype=int)
+    evals[searched] = search_evals
+
+    cands = [
+        SeparableXCandidate(e_prime=_phase(x.e) * a, f_prime=_phase(x.f) * b)
+        for x, (a, b) in zip(xs, best.tolist())
+    ]
+    dists = candidate_distances(xs, cands).tolist()
+    return [
+        OracleResult(minimizer=c, distance=d, evaluations=n + 1)
+        for c, d, n in zip(cands, dists, evals.tolist())
+    ]
 
 
 def closest_separable_trace_xfamily(x: XState) -> OracleResult:
-    """Trace-norm closest separable X state with the same populations.
-
-    Grid zoom to 1e-7 over the candidate moduli (|e'|, |f'|) in
-    [0, min(sqrt(ad), sqrt(bc))]^2; candidate phases are aligned with e and
-    f, where the minimum is attained.
-    """
-    m = min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
-    abs_e, abs_f = abs(x.e), abs(x.f)
-    evals = 0
-
-    def f(a, b):
-        return _xdiff_trace_norms(abs_e, abs_f, a, b)
-
-    if m == 0.0:
-        best_a = best_f = 0.0
-    else:
-        (best_a, best_f), _, evals = _grid_min(f, 0.0, m, 2, 1e-7)
-
-    cand = SeparableXCandidate(
-        e_prime=_phase(x.e) * best_a, f_prime=_phase(x.f) * best_f
-    )
-    sigma = XState(x.a, x.b, x.c, x.d, cand.e_prime, cand.f_prime)
-    dist = trace_norm(x.to_density() - sigma.to_density())
-    return OracleResult(minimizer=cand, distance=dist, evaluations=evals + 1)
+    """closest_separable_trace_xfamily_many of one X state."""
+    return closest_separable_trace_xfamily_many([x])[0]
 
 
 def clamped_minimizer(x: XState) -> SeparableXCandidate:
     """Analytic minimizer: each coherence kept if feasible, else clamped to the
     separability bound min(sqrt(ad), sqrt(bc)); phases follow e and f."""
-    m = min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
+    m = _separability_bound(x)
     return SeparableXCandidate(
         e_prime=_phase(x.e) * min(abs(x.e), m),
         f_prime=_phase(x.f) * min(abs(x.f), m),

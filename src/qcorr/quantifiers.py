@@ -139,22 +139,33 @@ def concurrence_x(x: XState) -> QuantifierValue:
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)
 
+# matrices per batched eigensolve of wootters_concurrence
+_STACK_BLOCK = 1024
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+
+def wootters_concurrence(rho: np.ndarray):
     """Concurrence of an arbitrary two-qubit state via the spin-flip spectrum.
 
     C = max{0, l1 - l2 - l3 - l4} where the l_i are the decreasing square
     roots of the eigenvalues of rho (s2 x s2) rho* (s2 x s2).  They are
     computed as the singular values of sqrt(rho) (s2 x s2) conj(sqrt(rho)),
     which carries the same spectrum without the square-root amplification of
-    eigensolver noise near zero.
+    eigensolver noise near zero.  Takes one 4x4 matrix, giving a float, or an
+    (N, 4, 4) stack, giving an array from one batched eigensolve and SVD per
+    block of _STACK_BLOCK matrices; the blocks bound the temporaries.
     """
+    rho = np.asarray(rho)
+    if rho.ndim == 3 and len(rho) > _STACK_BLOCK:
+        blocks = range(0, len(rho), _STACK_BLOCK)
+        return np.concatenate([wootters_concurrence(rho[i : i + _STACK_BLOCK]) for i in blocks])
     rho = validate_density(rho)
     try:
         w, v = np.linalg.eigh(rho)
-        sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        sqrt_rho = (v * np.sqrt(np.where(w > 0.0, w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
         lams = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolve failed: %s" % exc) from exc
-    lams = np.sort(lams)[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    l1, l2, l3, l4 = lams.T  # svd returns them in decreasing order
+    c = l1 - l2 - l3 - l4
+    c = _where(c > 0.0, c, 0.0)
+    return c if isinstance(c, np.ndarray) else float(c)

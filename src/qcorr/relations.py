@@ -171,7 +171,12 @@ def _branch_index(label: str | None, prefix: str) -> int:
 
 
 def _p_in_window(channel: ChannelKind, g: float, g_sd: float, what: str) -> float:
-    """p in [0, p_SD] at which the decay factor equals g; WindowViolation outside."""
+    """p in [0, p_SD] at which the decay factor equals g; WindowViolation outside.
+
+    what names the input g was inverted from; a NaN g comes from a NaN input.
+    """
+    if math.isnan(g):
+        raise OutOfRange("%s = nan is not a number" % what)
     if g < g_sd - _WINDOW_TOL:
         raise WindowViolation(
             "%s lies beyond sudden death (factor %.12g < %.12g)" % (what, g, g_sd)

@@ -156,19 +156,36 @@ class RegionLabel(enum.Enum):
     CLASSICAL = "classical"
 
 
+def _leading(flags: np.ndarray) -> int:
+    """Number of leading True entries of a boolean vector."""
+    k = int(flags.argmin()) if len(flags) else 0
+    return k if len(flags) and not flags[k] else len(flags)
+
+
 def validate_density(rho: np.ndarray, eps: float = EPS_PSD) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix."""
+    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
+    of each matrix of an (N, 4, 4) stack.
+
+    A stack raises for its first failing matrix, with the message that matrix
+    raises on its own; the eigenvalues are computed in one batched eigensolve.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise NonPhysical("expected a 4x4 matrix, got shape %s" % (rho.shape,))
-    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
-        raise NonPhysical("matrix is not Hermitian within 1e-12")
-    tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= 1e-12:
-        raise NonPhysical("trace is %.15g, expected 1" % tr)
-    lmin = float(np.linalg.eigvalsh(rho)[0])
-    if lmin < -eps:
-        raise NonPhysical("eigenvalue %.6g is negative" % lmin)
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise NonPhysical("expected a 4x4 matrix or a stack of them, got shape %s" % (rho.shape,))
+    stack = rho.reshape(-1, 4, 4)
+    asym = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    tr = stack.trace(axis1=1, axis2=2).real
+    # NaN propagates through the maximum and fails the comparison
+    n = _leading(np.maximum(asym, np.abs(tr - 1.0)) <= 1e-12)
+    # the matrices before the first that fails those checks must be positive
+    lmin = np.linalg.eigvalsh(stack[:n])[:, 0]
+    k = _leading(lmin >= -eps)
+    if k < n:
+        raise NonPhysical("eigenvalue %.6g is negative" % lmin[k])
+    if n < len(stack):
+        if not asym[n] <= 1e-12:
+            raise NonPhysical("matrix is not Hermitian within 1e-12")
+        raise NonPhysical("trace is %.15g, expected 1" % tr[n])
     return rho
 
 

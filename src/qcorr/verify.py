@@ -13,11 +13,11 @@ import json
 import numpy as np
 
 from .oracles import (
+    candidate_distances,
     clamped_minimizer,
-    closest_classical,
+    closest_classical_many,
     closest_separable_hs,
-    closest_separable_trace_xfamily,
-    trace_norm,
+    closest_separable_trace_xfamily_many,
 )
 from .quantifiers import (
     Norm,
@@ -55,19 +55,25 @@ def physical_grid(n: int) -> list[CorrelationVector]:
     return out
 
 
-def _check(measure, deviations, states, evaluations) -> dict:
+def _check(measure, states, distances, closed_form, evaluations, bump=0.0) -> dict:
+    """Report entry for oracle distances against the closed form's values."""
+    deviations = [abs(d - (closed_form(s).value + bump)) for s, d in zip(states, distances)]
     tol = TOLERANCES[measure]
     worst = int(np.argmax(deviations))
     max_dev = float(deviations[worst])
-    state = states[worst]
     return {
         "measure": measure,
         "max_abs_deviation": max_dev,
-        "worst_case_state": state.to_json(),
+        "worst_case_state": states[worst].to_json(),
         "evaluations": int(evaluations),
         "tolerance": tol,
         "pass": bool(max_dev <= tol),
     }
+
+
+def _oracle_check(measure, states, results, closed_form, bump=0.0) -> dict:
+    distances = [res.distance for res in results]
+    return _check(measure, states, distances, closed_form, sum(res.evaluations for res in results), bump)
 
 
 def run_verification(
@@ -89,60 +95,32 @@ def run_verification(
             raise OutOfRange("%s: size %d is below 1" % (name, size))
     bump = 1e-3 if mutate else 0.0
     states = physical_grid(grid)
-    report: dict = {"seed": int(seed), "grid": int(grid), "checks": []}
-
-    def hs_cls(r):
-        res = closest_classical(r, Norm.HS)
-        return abs(res.distance - (hs_discord(r).value + bump)), res.evaluations
-
-    devs, evs = zip(*map(hs_cls, states))
-    report["checks"].append(_check("hs_discord_vs_closest_classical", devs, states, sum(evs)))
-
-    def hs_sep(r):
-        res = closest_separable_hs(r)
-        return abs(res.distance - hs_entanglement(r).value), res.evaluations
-
-    devs, evs = zip(*map(hs_sep, states))
-    report["checks"].append(_check("hs_entanglement_vs_closest_separable", devs, states, sum(evs)))
-
-    def tr_cls(r):
-        res = closest_classical(r, Norm.TRACE)
-        return abs(res.distance - trace_discord(r).value), res.evaluations
-
-    devs, evs = zip(*map(tr_cls, states))
-    report["checks"].append(_check("trace_discord_vs_closest_classical", devs, states, sum(evs)))
+    checks = [
+        _oracle_check("hs_discord_vs_closest_classical", states,
+                      closest_classical_many(states, Norm.HS), hs_discord, bump),
+        _oracle_check("hs_entanglement_vs_closest_separable", states,
+                      [closest_separable_hs(r) for r in states], hs_entanglement),
+        _oracle_check("trace_discord_vs_closest_classical", states,
+                      closest_classical_many(states, Norm.TRACE), trace_discord),
+    ]
 
     rng = np.random.default_rng(seed)
     xstates = [random_entangled_xstate(rng) for _ in range(n_xstates)]
     if extra_xstate is not None:
         xstates.append(extra_xstate)
+    checks.append(_oracle_check("xfamily_oracle_vs_concurrence", xstates,
+                                closest_separable_trace_xfamily_many(xstates), concurrence_x))
 
-    def xfam(x):
-        res = closest_separable_trace_xfamily(x)
-        return abs(res.distance - concurrence_x(x).value), res.evaluations
-
-    devs, evs = zip(*map(xfam, xstates))
-    report["checks"].append(_check("xfamily_oracle_vs_concurrence", devs, xstates, sum(evs)))
-
-    def clamped(x):
-        cand = clamped_minimizer(x)
-        sigma = XState(x.a, x.b, x.c, x.d, cand.e_prime, cand.f_prime)
-        dist = trace_norm(x.to_density() - sigma.to_density())
-        return abs(dist - concurrence_x(x).value), 1
-
-    devs, evs = zip(*map(clamped, xstates))
-    report["checks"].append(_check("clamped_minimizer_vs_concurrence", devs, xstates, sum(evs)))
+    dists = candidate_distances(xstates, [clamped_minimizer(x) for x in xstates]).tolist()
+    checks.append(_check("clamped_minimizer_vs_concurrence", xstates, dists, concurrence_x, len(xstates)))
 
     wstates = [random_xstate(rng) for _ in range(n_wootters)]
+    rhos = np.fromiter((x.to_density() for x in wstates), dtype=(complex, (4, 4)), count=len(wstates))
+    woot = wootters_concurrence(rhos)
+    checks.append(_check("wootters_vs_concurrence_x", wstates, woot.tolist(), concurrence_x, len(wstates)))
 
-    def woot(x):
-        return abs(wootters_concurrence(x.to_density()) - concurrence_x(x).value), 1
-
-    devs, evs = zip(*map(woot, wstates))
-    report["checks"].append(_check("wootters_vs_concurrence_x", devs, wstates, sum(evs)))
-
-    report["all_pass"] = bool(all(c["pass"] for c in report["checks"]))
-    return report
+    all_pass = all(c["pass"] for c in checks)
+    return {"seed": int(seed), "grid": int(grid), "checks": checks, "all_pass": all_pass}
 
 
 def report_to_json(report: dict) -> str:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import REF
 from qcorr.cli import main
+from qcorr.errors import NumericalFailure
 from qcorr.states import CorrelationVector, bd_to_xstate
 
 STATE = "%.17g,%.17g,%.17g" % REF
@@ -329,3 +330,13 @@ def test_cli_exit_contract(case):
         assert stderr == ""
     else:
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+def test_other_qcorr_errors_exit2(tmp_path, capsys, monkeypatch):
+    def fail(**kwargs):
+        raise NumericalFailure("eigensolve failed: did not converge")
+
+    monkeypatch.setattr("qcorr.cli.run_verification", fail)
+    code, stdout, stderr = run(capsys, "verify", "--grid", "1")
+    assert code == 2 and stdout == ""
+    assert stderr == "NumericalFailure: eigensolve failed: did not converge\n"

@@ -6,11 +6,12 @@ default 1001 samples, on the reference state and on (0.9, -0.3, 0.2).  A
 second set covers the degenerate orderings (0.5, 0.5, -0.5) and
 (-0.7, -0.7, -0.7), whose tied moduli pin the lowest-index tie-breaking of
 the branch labels.  RELATION pins both relation inverses, which the CLI
-never calls.  A refactor of the trajectory or relation code must leave every
-hash unchanged.
+never calls, and VERIFY pins three reduced verify reports.  A refactor of the
+trajectory, relation or oracle code must leave every hash unchanged.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -23,7 +24,7 @@ from qcorr.relations import (
     hs_discord_from_entanglement,
     trace_discord_from_concurrence,
 )
-from qcorr.states import CorrelationVector, bd_to_xstate
+from qcorr.states import CorrelationVector, XState, bd_to_xstate
 
 STATES = (REF, (0.9, -0.3, 0.2))
 DEGENERATE_STATES = ((0.5, 0.5, -0.5), (-0.7, -0.7, -0.7))
@@ -124,3 +125,23 @@ def test_golden_relation_inverses():
                     h.update(_outcome(hs_discord_from_entanglement, e, case_hs, d_label) + b"\0")
                     h.update(_outcome(trace_discord_from_concurrence, c, case_tr, r_label) + b"\0")
     assert h.hexdigest() == RELATION
+
+
+# verify reports at a reduced size: two seeds, and one run with a user X state
+# whose coherences carry phases.  The hash covers every report byte, the
+# evaluation counts of the oracles included.
+VERIFY_SIZES = ("--grid", "5", "--xstates", "50", "--wootters", "500")
+VERIFY_XSTATE = XState(0.3, 0.2, 0.1, 0.4, 0.2 + 0.1j, 0.05j)
+VERIFY = "54fbdae84fa1608059aeb8accd3eacdcc90d7566ef58c3d4e0a5f5c1767ee279"
+
+
+def test_golden_verify_reports(tmp_path, capsys):
+    xstate_file = tmp_path / "x.json"
+    xstate_file.write_text(json.dumps(VERIFY_XSTATE.to_json()))
+    h = hashlib.sha256()
+    for extra in (("--seed", "42"), ("--seed", "7"), ("--seed", "42", "--xstate", str(xstate_file))):
+        code = main(["verify", *VERIFY_SIZES, *extra])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        h.update(captured.out.encode() + b"\0")
+    assert h.hexdigest() == VERIFY

@@ -1,16 +1,21 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from conftest import REF, physical_vectors, xstates
 from qcorr.oracles import (
+    _BLOCK,
     clamped_minimizer,
     closest_classical,
+    closest_classical_many,
     closest_separable_hs,
     closest_separable_trace_xfamily,
+    closest_separable_trace_xfamily_many,
     hs_operator_sq,
     trace_norm,
 )
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
+from qcorr.sampling import random_entangled_xstate
 from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate
 from qcorr.verify import TOLERANCES, physical_grid
 
@@ -140,3 +145,41 @@ def test_xfamily_oracle_property(x):
         concurrence_x(x).value,
         atol=TOLERANCES["xfamily_oracle_vs_concurrence"],
     )
+
+
+# The lockstep searches must not depend on their neighbours: every batched
+# result equals the one-state search bit for bit (repr covers the minimizer,
+# the distance and the evaluations, and tells -0.0 from 0.0).
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_classical_lockstep_matches_single_searches(norm):
+    states = physical_grid(5)
+    assert 3 * len(states) > 2 * _BLOCK  # the state x axis searches fill several blocks
+    batched = closest_classical_many(states, norm)
+    assert list(map(repr, batched)) == [repr(closest_classical(r, norm)) for r in states]
+
+
+def test_xfamily_lockstep_matches_single_searches():
+    rng = np.random.default_rng(11)
+    xs = [random_entangled_xstate(rng) for _ in range(200)]
+    # a = d = t bounds both coherences by t: boxes over five decades, whose
+    # searches stop at different zoom levels
+    decades = [
+        XState(t, 0.5 - t, 0.5 - t, t, 0.9 * t, 0.1 * (0.5 - t)) for t in (0.2, 1e-2, 1e-3, 1e-4, 1e-5)
+    ]
+    separable = XState(0.5, 0.25, 0.25, 0.0, 0.0, 0.0)  # a d = 0: no search
+    xs = xs[:90] + decades[:3] + [separable] + decades[3:] + xs[90:]
+    assert len(xs) > 3 * _BLOCK
+    batched = closest_separable_trace_xfamily_many(xs)
+    assert list(map(repr, batched)) == [repr(closest_separable_trace_xfamily(x)) for x in xs]
+    assert batched[93].evaluations == 1 and batched[93].distance == 0.0
+    levels = {res.evaluations for res in batched[90:96] if res.evaluations > 1}
+    assert len(levels) == 5
+
+
+def test_trace_norm_of_a_stack():
+    deltas = np.array([np.zeros((4, 4)), np.diag([0.5, -0.5, 0.0, 0.0])])
+    norms = trace_norm(deltas)
+    assert isinstance(norms, np.ndarray) and norms.tolist() == [0.0, 1.0]
+    assert isinstance(trace_norm(deltas[1]), float)

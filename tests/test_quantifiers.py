@@ -94,6 +94,18 @@ def test_wootters_matches_x_formula_general(x):
     )
 
 
+def test_wootters_stack_matches_single_matrices():
+    from qcorr.sampling import random_xstate
+
+    rng = np.random.default_rng(5)
+    # 2000 matrices: the stack is worked through in two blocks
+    rhos = np.array([random_xstate(rng).to_density() for _ in range(2000)])
+    stacked = wootters_concurrence(rhos)
+    single = [wootters_concurrence(rho) for rho in rhos]
+    assert isinstance(stacked, np.ndarray) and isinstance(single[0], float)
+    assert stacked.tolist() == single
+
+
 def test_wootters_ill_conditioned_corner():
     # populations at rounding scale with |e| on the physicality bound: the
     # concurrence has unbounded condition number (a 1e-16 shift of d moves it

@@ -7,6 +7,7 @@ from qcorr.errors import (
     BranchUnknown,
     DegenerateOrdering,
     NotEntangled,
+    OutOfRange,
     WindowViolation,
 )
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
@@ -213,3 +214,12 @@ def test_relation_identity_random():
         r = random_entangled_bd(rng, min_gap=1e-3)
         for kind in (PD, BF, BPF, DEP, PF):
             assert _identity_sweep(r0=r, kind=kind, n=60) < 1e-9
+
+
+@pytest.mark.parametrize("channel", [PD, DEP])
+def test_nan_input_names_the_input(channel):
+    r0 = CorrelationVector(*REF)
+    with pytest.raises(OutOfRange, match=r"^E = nan is not a number$"):
+        hs_discord_from_entanglement(float("nan"), RelationCase(channel, Norm.HS, r0), "D1")
+    with pytest.raises(OutOfRange, match=r"^C = nan is not a number$"):
+        trace_discord_from_concurrence(float("nan"), RelationCase(channel, Norm.TRACE, r0), "r1")

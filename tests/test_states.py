@@ -46,6 +46,46 @@ def test_validate_density_rejects_nan():
         validate_density(np.where(np.eye(4) == 1, np.nan, rho))
 
 
+_NAN = np.full((4, 4), np.nan)
+_TRACE = np.eye(4) / 4 * 1.1
+_NON_HERMITIAN = np.eye(4) / 4 + np.triu(np.full((4, 4), 0.01), 1)
+_NEGATIVE = np.diag([0.6, 0.6, -0.2, 0.0])
+
+
+def _stack_with(bad: dict) -> np.ndarray:
+    """Six valid Bell-diagonal matrices with bad[i] at position i."""
+    stack = [bd_to_density(CorrelationVector(0.1 * k, -0.05 * k, 0.02)) for k in range(6)]
+    for i, m in bad.items():
+        stack[i] = m
+    return np.array(stack)
+
+
+def _message(rho) -> str:
+    with pytest.raises(NonPhysical) as info:
+        validate_density(rho)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [_NAN, _TRACE, _NON_HERMITIAN, _NEGATIVE])
+def test_validate_density_stack_reports_its_failing_matrix(bad):
+    assert _message(_stack_with({3: bad})) == _message(bad)
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [(_NEGATIVE, _NAN), (_NAN, _NEGATIVE), (_TRACE, _NON_HERMITIAN), (_NON_HERMITIAN, _TRACE)],
+)
+def test_validate_density_stack_reports_first_failing_matrix(first, later):
+    assert _message(_stack_with({1: first, 4: later})) == _message(first)
+
+
+def test_validate_density_accepts_a_valid_stack():
+    stack = _stack_with({})
+    assert validate_density(stack).shape == (6, 4, 4)
+    with pytest.raises(NonPhysical, match="expected a 4x4 matrix"):
+        validate_density(np.zeros((2, 2, 4, 4)))
+
+
 def test_nonphysical_raises_with_eigenvalue():
     with pytest.raises(NonPhysical, match="eigenvalue -0.25"):
         CorrelationVector(2, 0, 0)
