@@ -31,7 +31,6 @@ from .errors import (
 )
 from .oracles import (
     OracleResult,
-    SeparableXCandidate,
     candidate_distances,
     clamped_minimizer,
     closest_classical,

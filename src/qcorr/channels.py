@@ -49,8 +49,6 @@ PRESERVED_AXIS = {
 
 @dataclass(frozen=True)
 class KrausChannel:
-    kind: ChannelKind
-    p: float
     operators: tuple[np.ndarray, ...]
 
     def completeness_defect(self) -> float:
@@ -102,7 +100,7 @@ def kraus_for(kind: ChannelKind, p: float) -> KrausChannel:
         raise OutOfRange("unknown channel kind %r" % kind)
     for op in ops:
         op.flags.writeable = False
-    return KrausChannel(kind=kind, p=p, operators=ops)
+    return KrausChannel(operators=ops)
 
 
 def apply_local_pair(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:

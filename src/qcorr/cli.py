@@ -4,7 +4,7 @@ verification and curve export.
 Exit codes: 0 success, 2 configuration error or any other qcorr error,
 3 non-physical state, 4 empty discord-entanglement window, 5 verification
 tolerance exceeded.  Every failure prints exactly one diagnostic line on
-stderr, led by the error's type name.
+stderr, led by the error's type name; errors.py holds the code table.
 """
 
 from __future__ import annotations
@@ -19,15 +19,11 @@ import numpy as np
 
 from .channels import parse_channel_spec
 from .dynamics import SUDDEN_CHANGE, d_vs_e_curve, run_trajectory
-from .errors import EmptyWindow, NonPhysical, OutOfRange, QcorrError
+from .errors import ConfigError, OutOfRange, QcorrError, VerifyFailure
 from .quantifiers import Norm
 from .relations import RelationCase, extrapolation_start
 from .states import CorrelationVector, XState
 from .verify import report_to_json, run_verification
-
-
-class ConfigError(QcorrError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,16 +96,26 @@ def _write_events(traj, out_csv: str):
         }
         for e in traj.event_records
     ]
+    doc = {"events": events}
+    if traj.unmatched:  # only when non-empty, so that sidecars without misses keep their bytes
+        doc["unmatched"] = [
+            {"kind": e.kind, "norm": e.norm.value, "p_analytic": e.p_analytic} for e in traj.unmatched
+        ]
     path = Path(out_csv)
     sidecar = path.with_name(path.stem + ".events.json")
-    sidecar.write_text(json.dumps({"events": events}, indent=2, sort_keys=True) + "\n")
+    sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return sidecar
 
 
+def _fmt_or_none(x) -> str:
+    return "none" if x is None else _fmt(x)
+
+
 def _print_events(traj):
-    for e in traj.event_records:
-        analytic = _fmt(e.p_analytic) if e.p_analytic is not None else "none"
-        print("%s norm=%s p_detected=%s p_analytic=%s" % (e.kind, e.norm.value, _fmt(e.p_detected), analytic))
+    """Detected events, then the analytic sudden changes that none matched."""
+    for e in traj.event_records + traj.unmatched:
+        print("%s norm=%s p_detected=%s p_analytic=%s"
+              % (e.kind, e.norm.value, _fmt_or_none(e.p_detected), _fmt_or_none(e.p_analytic)))
 
 
 def _write_columns(path: str, header: str, columns) -> None:
@@ -182,17 +188,15 @@ def cmd_verify(args) -> int:
         sys.stdout.write(text)
     if not report["all_pass"]:
         worst = next(c for c in report["checks"] if not c["pass"])
-        print(
-            "VerifyFailure: %s max_abs_deviation=%s tolerance=%s worst_case_state=%s"
+        raise VerifyFailure(
+            "%s max_abs_deviation=%s tolerance=%s worst_case_state=%s"
             % (
                 worst["measure"],
                 _fmt(worst["max_abs_deviation"]),
                 _fmt(worst["tolerance"]),
                 json.dumps(worst["worst_case_state"], sort_keys=True),
-            ),
-            file=sys.stderr,
+            )
         )
-        return 5
     return 0
 
 
@@ -238,18 +242,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, OutOfRange, OSError) as exc:  # OSError: unreadable or unwritable path
-        print("ConfigError: %s" % exc, file=sys.stderr)
-        return 2
-    except NonPhysical as exc:
-        print("NonPhysical: %s" % exc, file=sys.stderr)
-        return 3
-    except EmptyWindow as exc:
-        print("EmptyWindow: %s" % exc, file=sys.stderr)
-        return 4
-    except QcorrError as exc:  # NumericalFailure, NotEntangled and the rest
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
+    except (QcorrError, OSError) as exc:  # OSError: unreadable or unwritable path
+        name = "ConfigError" if isinstance(exc, (OutOfRange, OSError)) else type(exc).__name__
+        print("%s: %s" % (name, exc), file=sys.stderr)
+        return getattr(exc, "exit_code", ConfigError.exit_code)
 
 
 def entry():  # console-script wrapper

@@ -42,7 +42,7 @@ _TRACE_LABELS = np.array(["r1", "r2", "r3"])
 class EventRecord:
     kind: str  # SUDDEN_CHANGE or SUDDEN_DEATH
     norm: Norm
-    p_detected: float
+    p_detected: float | None  # None: an analytic change that no detection matched
     p_analytic: float | None
 
 
@@ -52,9 +52,10 @@ class Trajectory:
 
     r holds the evolved correlation vectors (n x 3); branch_hs holds the HS
     discord labels D1..D3 and branch_tr the trace discord labels r1..r3.
+    unmatched lists, per norm in order of p, the analytic sudden changes in
+    [0, p_max] that no detected event was matched to.
     """
 
-    channel: ChannelKind
     initial: CorrelationVector
     p: np.ndarray
     r: np.ndarray
@@ -65,6 +66,7 @@ class Trajectory:
     branch_hs: np.ndarray
     branch_tr: np.ndarray
     event_records: list[EventRecord] = field(default_factory=list)
+    unmatched: list[EventRecord] = field(default_factory=list)
 
     def death_p(self) -> float | None:
         for e in self.event_records:
@@ -137,7 +139,8 @@ def run_trajectory(
     Sudden changes are located by bisecting the difference of the competing
     branch values on each grid interval where the branch label switches;
     sudden death by bisecting the octahedron margin.  Each detected event is
-    matched to its analytic prediction when one exists within 1e-6.
+    matched to its analytic prediction when one exists within 1e-6; analytic
+    sudden changes left without a match are listed in unmatched.
     """
     if n_samples < 2:
         raise OutOfRange("n_samples = %d must be at least 2" % n_samples)
@@ -158,7 +161,6 @@ def run_trajectory(
     concurrence, _ = concurrence_columns(xa, xb, xc, xd, abs(xe), abs(xf))
     d_tr, i_tr = trace_discord_columns(*r.T)
     traj = Trajectory(
-        channel=channel,
         initial=r0,
         p=p,
         r=r,
@@ -203,6 +205,12 @@ def run_trajectory(
                         p_analytic=_match_analytic(p_star, changes),
                     )
                 )
+        matched = {e.p_analytic for e in records if e.norm is norm}
+        traj.unmatched += [
+            EventRecord(kind=SUDDEN_CHANGE, norm=norm, p_detected=None, p_analytic=c)
+            for c in changes
+            if c <= p_max and c not in matched
+        ]
 
     def margin(x: float) -> float:
         v = evolved_vector(channel, r0, x)
@@ -248,8 +256,6 @@ def d_vs_e_curve(traj: Trajectory, norm: Norm) -> tuple[np.ndarray, np.ndarray, 
 
 @dataclass(frozen=True)
 class ContractivityReport:
-    channel: ChannelKind
-    n_pairs: int
     max_increase_hs: float
     max_increase_trace: float
     violations: tuple[tuple[int, str, float, float], ...]  # (pair, norm, p, increment)
@@ -263,13 +269,12 @@ def contractivity_scan(
     channel: ChannelKind,
     pairs: list[tuple[CorrelationVector, CorrelationVector]],
     p_grid,
-    tol: float = 1e-12,
 ) -> ContractivityReport:
     """Check that both operator distances between evolved pairs never grow.
 
     For every pair and every step of the grid the trace distance and the
     squared Hilbert-Schmidt distance are required to be non-increasing;
-    increments above tol are collected rather than raised.
+    increments above 1e-12 are collected rather than raised.
     """
     p_grid = [float(p) for p in p_grid]
     max_up_hs = 0.0
@@ -288,14 +293,12 @@ def contractivity_scan(
                 up_hs = d_hs - prev_hs
                 max_up_tr = max(max_up_tr, up_tr)
                 max_up_hs = max(max_up_hs, up_hs)
-                if up_tr > tol:
+                if up_tr > 1e-12:
                     violations.append((i, "trace", p, up_tr))
-                if up_hs > tol:
+                if up_hs > 1e-12:
                     violations.append((i, "hs", p, up_hs))
             prev_tr, prev_hs = d_tr, d_hs
     return ContractivityReport(
-        channel=channel,
-        n_pairs=len(pairs),
         max_increase_hs=max_up_hs,
         max_increase_trace=max_up_tr,
         violations=tuple(violations),

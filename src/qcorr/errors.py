@@ -1,12 +1,18 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library; each carries its CLI exit code."""
 
 
 class QcorrError(Exception):
     """Base class for all qcorr errors."""
+    exit_code = 2
+
+
+class ConfigError(QcorrError):
+    """A command-line argument or input file is malformed or inconsistent."""
 
 
 class NonPhysical(QcorrError):
     """State parameters do not describe a positive, unit-trace density matrix."""
+    exit_code = 3
 
 
 class OutOfRange(QcorrError):
@@ -31,7 +37,13 @@ class WindowViolation(QcorrError):
 
 class EmptyWindow(QcorrError):
     """The initial state is separable, so the discord-vs-entanglement window is empty."""
+    exit_code = 4
 
 
 class NumericalFailure(QcorrError):
     """An eigensolve or SVD did not converge."""
+
+
+class VerifyFailure(QcorrError):
+    """An oracle check of the verification report exceeded its tolerance."""
+    exit_code = 5

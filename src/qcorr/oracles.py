@@ -29,16 +29,8 @@ _BLOCK = 64
 
 
 @dataclass(frozen=True)
-class SeparableXCandidate:
-    """Coherences of a candidate separable X state with a fixed diagonal."""
-
-    e_prime: complex
-    f_prime: complex
-
-
-@dataclass(frozen=True)
 class OracleResult:
-    minimizer: object  # CorrelationVector or SeparableXCandidate
+    minimizer: CorrelationVector | XState
     distance: float
     evaluations: int
 
@@ -193,6 +185,12 @@ def _phase(z: complex) -> complex:
     return z / abs(z) if abs(z) > 0.0 else 1.0 + 0.0j
 
 
+def _with_moduli(x: XState, abs_e: float, abs_f: float) -> XState:
+    """The X state with the populations of x and coherences of moduli abs_e and
+    abs_f, their phases aligned with e and f."""
+    return XState(x.a, x.b, x.c, x.d, _phase(x.e) * abs_e, _phase(x.f) * abs_f)
+
+
 # the X shape of an operator difference, as indices into (0, |e| - a, |f| - b)
 _X_TEMPLATE = np.array([[0, 0, 0, 1], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]])
 
@@ -203,14 +201,10 @@ def _separability_bound(x: XState) -> float:
     return min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
 
 
-def candidate_distances(xs, cands) -> np.ndarray:
-    """Trace distances ||rho_X - sigma_X||_1, sigma_X the X state with the
-    populations of x and the coherences of its candidate; one batched
+def candidate_distances(xs, sigmas) -> np.ndarray:
+    """Trace distances ||rho_X - sigma_X||_1 of paired X states; one batched
     eigensolve of the complex operator differences."""
-    diffs = [
-        x.to_density() - XState(x.a, x.b, x.c, x.d, c.e_prime, c.f_prime).to_density()
-        for x, c in zip(xs, cands)
-    ]
+    diffs = [x.to_density() - sigma.to_density() for x, sigma in zip(xs, sigmas)]
     return trace_norm(np.array(diffs).reshape(len(xs), 4, 4))
 
 
@@ -244,10 +238,7 @@ def closest_separable_trace_xfamily_many(xs) -> list[OracleResult]:
     evals = np.zeros(len(xs), dtype=int)
     evals[searched] = search_evals
 
-    cands = [
-        SeparableXCandidate(e_prime=_phase(x.e) * a, f_prime=_phase(x.f) * b)
-        for x, (a, b) in zip(xs, best.tolist())
-    ]
+    cands = [_with_moduli(x, a, b) for x, (a, b) in zip(xs, best.tolist())]
     dists = candidate_distances(xs, cands).tolist()
     return [
         OracleResult(minimizer=c, distance=d, evaluations=n + 1)
@@ -260,11 +251,8 @@ def closest_separable_trace_xfamily(x: XState) -> OracleResult:
     return closest_separable_trace_xfamily_many([x])[0]
 
 
-def clamped_minimizer(x: XState) -> SeparableXCandidate:
+def clamped_minimizer(x: XState) -> XState:
     """Analytic minimizer: each coherence kept if feasible, else clamped to the
     separability bound min(sqrt(ad), sqrt(bc)); phases follow e and f."""
     m = _separability_bound(x)
-    return SeparableXCandidate(
-        e_prime=_phase(x.e) * min(abs(x.e), m),
-        f_prime=_phase(x.f) * min(abs(x.f), m),
-    )
+    return _with_moduli(x, min(abs(x.e), m), min(abs(x.f), m))

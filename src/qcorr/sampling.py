@@ -26,18 +26,13 @@ def random_bd_vector(rng: np.random.Generator) -> CorrelationVector:
     )
 
 
-def random_entangled_bd(
-    rng: np.random.Generator,
-    min_margin: float = 1e-3,
-    min_gap: float = 0.0,
-    max_tries: int = 100000,
-) -> CorrelationVector:
-    """Entangled Bell-diagonal vector: sum|r_i| > 1 + min_margin, with the
-    moduli pairwise separated by at least min_gap when requested."""
-    for _ in range(max_tries):
+def random_entangled_bd(rng: np.random.Generator, min_gap: float = 0.0) -> CorrelationVector:
+    """Entangled Bell-diagonal vector: sum|r_i| > 1 + 1e-3, with the moduli
+    pairwise separated by at least min_gap when requested."""
+    for _ in range(100000):
         r = random_bd_vector(rng)
         s = sorted(r.abs_triple())
-        if sum(s) <= 1.0 + min_margin:
+        if sum(s) <= 1.0 + 1e-3:
             continue
         if min_gap > 0.0 and (s[1] - s[0] < min_gap or s[2] - s[1] < min_gap):
             continue
@@ -54,12 +49,11 @@ def random_xstate(rng: np.random.Generator) -> XState:
     return XState(a, b, c, d, re * np.exp(1j * th_e), rf * np.exp(1j * th_f))
 
 
-def random_entangled_xstate(
-    rng: np.random.Generator, min_concurrence: float = 1e-6, max_tries: int = 100000
-) -> XState:
-    for _ in range(max_tries):
+def random_entangled_xstate(rng: np.random.Generator) -> XState:
+    """random_xstate drawn until its concurrence exceeds 1e-6."""
+    for _ in range(100000):
         x = random_xstate(rng)
-        if concurrence_x(x).value > min_concurrence:
+        if concurrence_x(x).value > 1e-6:
             return x
     raise RuntimeError("rejection sampling failed")  # pragma: no cover
 

@@ -162,7 +162,7 @@ def _leading(flags: np.ndarray) -> int:
     return k if len(flags) and not flags[k] else len(flags)
 
 
-def validate_density(rho: np.ndarray, eps: float = EPS_PSD) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
     of each matrix of an (N, 4, 4) stack.
 
@@ -179,7 +179,7 @@ def validate_density(rho: np.ndarray, eps: float = EPS_PSD) -> np.ndarray:
     n = _leading(np.maximum(asym, np.abs(tr - 1.0)) <= 1e-12)
     # the matrices before the first that fails those checks must be positive
     lmin = np.linalg.eigvalsh(stack[:n])[:, 0]
-    k = _leading(lmin >= -eps)
+    k = _leading(lmin >= -EPS_PSD)
     if k < n:
         raise NonPhysical("eigenvalue %.6g is negative" % lmin[k])
     if n < len(stack):
@@ -218,7 +218,7 @@ def bd_to_xstate(r: CorrelationVector) -> XState:
     return XState(*bd_xstate_columns(r.r1, r.r2, r.r3))
 
 
-def classify_region(r: CorrelationVector, zero_tol: float = 1e-12) -> RegionLabel:
+def classify_region(r: CorrelationVector) -> RegionLabel:
     """Classify a Bell-diagonal state as entangled, separable or classical.
 
     Entangled states lie outside the octahedron |r1| + |r2| + |r3| <= 1;
@@ -227,7 +227,7 @@ def classify_region(r: CorrelationVector, zero_tol: float = 1e-12) -> RegionLabe
     s = r.abs_triple()
     if sum(s) > 1.0:
         return RegionLabel.ENTANGLED
-    if sum(1 for x in s if x <= zero_tol) >= 2:
+    if sum(1 for x in s if x <= 1e-12) >= 2:
         return RegionLabel.CLASSICAL
     return RegionLabel.SEPARABLE_NONCLASSICAL
 
@@ -238,8 +238,8 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def is_entangled_ppt(rho: np.ndarray, eps: float = EPS_PSD) -> bool:
+def is_entangled_ppt(rho: np.ndarray) -> bool:
     """Peres criterion: a two-qubit state is entangled iff its partial transpose
-    has a negative eigenvalue (exact in dimension 2x2)."""
+    has an eigenvalue below -EPS_PSD (exact in dimension 2x2)."""
     lmin = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
-    return lmin < -eps
+    return lmin < -EPS_PSD

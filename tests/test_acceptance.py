@@ -49,7 +49,6 @@ from qcorr.relations import (
 from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate, random_xstate
 from qcorr.states import (
     CorrelationVector,
-    XState,
     bd_to_density,
     bd_xstate_columns,
     density_to_bd,
@@ -103,8 +102,7 @@ def test_criterion_03_trace_distance_identity():
         x = random_entangled_xstate(rng)
         c = concurrence_x(x).value
         dev_grid = max(dev_grid, abs(closest_separable_trace_xfamily(x).distance - c))
-        cand = clamped_minimizer(x)
-        sigma = XState(x.a, x.b, x.c, x.d, cand.e_prime, cand.f_prime)
+        sigma = clamped_minimizer(x)
         dev_clamped = max(dev_clamped, abs(trace_norm(x.to_density() - sigma.to_density()) - c))
     _report(
         3,
@@ -138,7 +136,7 @@ def test_criterion_05_channel_agreement():
 
 def test_criterion_06_relation_identity():
     rng = np.random.default_rng(SEED)
-    states = [random_entangled_bd(rng, min_margin=1e-3, min_gap=1e-3) for _ in range(200)]
+    states = [random_entangled_bd(rng, min_gap=1e-3) for _ in range(200)]
     dev = 0.0
     for kind in (
         ChannelKind.PHASE_DAMPING,
@@ -221,7 +219,7 @@ def test_criterion_09_contractivity():
     clean = True
     for kind in ChannelKind:
         grid = np.linspace(0.0, monotone_p_max(kind), 51)
-        rep = contractivity_scan(kind, pairs, grid, tol=1e-12)
+        rep = contractivity_scan(kind, pairs, grid)
         clean = clean and rep.clean
         worst_hs = max(worst_hs, rep.max_increase_hs)
         worst_tr = max(worst_tr, rep.max_increase_trace)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import REF
 from qcorr.cli import main
-from qcorr.errors import NumericalFailure
+from qcorr import errors
 from qcorr.states import CorrelationVector, bd_to_xstate
 
 STATE = "%.17g,%.17g,%.17g" % REF
@@ -332,11 +332,48 @@ def test_cli_exit_contract(case):
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
 
 
-def test_other_qcorr_errors_exit2(tmp_path, capsys, monkeypatch):
-    def fail(**kwargs):
-        raise NumericalFailure("eigensolve failed: did not converge")
+_ERRORS = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, errors.QcorrError)]
+# the documented exit codes; every other qcorr error exits 2
+_EXIT_CODES = {errors.NonPhysical: 3, errors.EmptyWindow: 4, errors.VerifyFailure: 5}
 
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda cls: cls.__name__)
+def test_error_exit_codes(error, capsys, monkeypatch):
+    def fail(**kwargs):
+        raise error("eigensolve failed: did not converge")
+
+    assert error.exit_code == _EXIT_CODES.get(error, 2)
     monkeypatch.setattr("qcorr.cli.run_verification", fail)
     code, stdout, stderr = run(capsys, "verify", "--grid", "1")
-    assert code == 2 and stdout == ""
-    assert stderr == "NumericalFailure: eigensolve failed: did not converge\n"
+    assert code == error.exit_code and stdout == ""
+    name = "ConfigError" if error is errors.OutOfRange else error.__name__
+    assert stderr == "%s: eigensolve failed: did not converge\n" % name
+
+
+def test_simulate_lists_unmatched_sudden_changes(tmp_path, capsys):
+    # three samples (p = 0, 1/2, 1) see none of the four trace sudden changes
+    out = tmp_path / "pf.csv"
+    code, stdout, _ = run(
+        capsys, "simulate", "--channel", "pf", "--state", "0.65,0.59,-0.38",
+        "--samples", "3", "--out", str(out),
+    )
+    assert code == 0
+    unmatched = json.loads((tmp_path / "pf.events.json").read_text())["unmatched"]
+    assert [(e["kind"], e["norm"]) for e in unmatched] == [("SuddenChangeDiscord", "trace")] * 4
+    np.testing.assert_allclose(
+        [e["p_analytic"] for e in unmatched], [0.0987, 0.1177, 0.8823, 0.9013], atol=1e-4
+    )
+    listed = [line for line in stdout.splitlines() if "p_detected=none" in line]
+    assert listed == [
+        "SuddenChangeDiscord norm=trace p_detected=none p_analytic=%.17g" % e["p_analytic"]
+        for e in unmatched
+    ]
+
+
+def test_unmatched_absent_when_every_change_is_detected(tmp_path, capsys):
+    code, stdout, _ = run(
+        capsys, "simulate", "--channel", "pd", "--state", "0.65,0.59,-0.38",
+        "--pmax", "0.3", "--samples", "3", "--out", str(tmp_path / "pd.csv"),
+    )
+    assert code == 0 and "p_detected=none" not in stdout
+    assert set(json.loads((tmp_path / "pd.events.json").read_text())) == {"events"}

@@ -160,6 +160,30 @@ def test_two_switches_in_one_cell_detected(kind, state, n_samples):
     assert len(_changes(traj, Norm.TRACE)) == (2 if kind is PD else 4)
 
 
+def test_no_analytic_change_dropped_seeded_scan():
+    """Every analytic sudden change is detected or listed as unmatched, and at
+    the default 1001 samples every one is detected."""
+    from qcorr.relations import RelationCase, critical_times
+    from qcorr.sampling import random_bd_vector
+
+    rng = np.random.default_rng(1)
+    states = [random_bd_vector(rng) for _ in range(40)]
+    n_listed = 0
+    for r in states:
+        for kind in ChannelKind:
+            for n_samples in (3, 11, 51, 1001):
+                traj = run_trajectory(kind, r, 1.0, n_samples)
+                if n_samples == 1001:
+                    assert traj.unmatched == []
+                n_listed += len(traj.unmatched)
+                for norm in Norm:
+                    detected = [e.p_detected for e in _changes(traj, norm)]
+                    listed = [e.p_analytic for e in traj.unmatched if e.norm is norm]
+                    for c in critical_times(RelationCase(kind, norm, r)).sudden_changes:
+                        assert c in listed or any(abs(d - c) <= 1e-6 for d in detected)
+    assert n_listed  # coarse grids do miss changes, and the scan sees them listed
+
+
 def test_contractivity_identical_pair():
     rep = contractivity_scan(PD, [(R0, R0)], np.linspace(0, 1, 21))
     assert rep.max_increase_hs == 0.0 and rep.max_increase_trace == 0.0

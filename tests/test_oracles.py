@@ -76,22 +76,21 @@ def test_xfamily_examples():
     res = closest_separable_trace_xfamily(x)
     np.testing.assert_allclose(res.distance, 0.31, atol=1e-4)
     # minimum keeps e and clamps f at sqrt(a d)
-    np.testing.assert_allclose(abs(res.minimizer.e_prime), 0.015, atol=1e-6)
-    np.testing.assert_allclose(abs(res.minimizer.f_prime), 0.155, atol=1e-6)
+    np.testing.assert_allclose(abs(res.minimizer.e), 0.015, atol=1e-6)
+    np.testing.assert_allclose(abs(res.minimizer.f), 0.155, atol=1e-6)
 
 
 def test_xfamily_minimizer_feasible():
     x = bd_to_xstate(CorrelationVector(*REF))
     res = closest_separable_trace_xfamily(x)
     bound = min(np.sqrt(x.a * x.d), np.sqrt(x.b * x.c)) + 1e-12
-    assert abs(res.minimizer.e_prime) <= bound
-    assert abs(res.minimizer.f_prime) <= bound
+    assert abs(res.minimizer.e) <= bound
+    assert abs(res.minimizer.f) <= bound
 
 
 def test_clamped_minimizer_achieves_concurrence():
     x = bd_to_xstate(CorrelationVector(*REF))
-    cand = clamped_minimizer(x)
-    sigma = XState(x.a, x.b, x.c, x.d, cand.e_prime, cand.f_prime)
+    sigma = clamped_minimizer(x)
     dist = trace_norm(x.to_density() - sigma.to_density())
     np.testing.assert_allclose(dist, concurrence_x(x).value, atol=1e-12)
 
@@ -99,8 +98,7 @@ def test_clamped_minimizer_achieves_concurrence():
 @settings(max_examples=25)
 @given(xstates())
 def test_clamped_minimizer_property(x):
-    cand = clamped_minimizer(x)
-    sigma = XState(x.a, x.b, x.c, x.d, cand.e_prime, cand.f_prime)
+    sigma = clamped_minimizer(x)
     dist = trace_norm(x.to_density() - sigma.to_density())
     np.testing.assert_allclose(dist, concurrence_x(x).value, atol=1e-12)
 
