@@ -10,6 +10,7 @@ stderr, led by the error's type name; errors.py holds the code table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -119,12 +120,15 @@ def _print_events(traj):
 
 
 def _write_columns(path: str, header: str, columns) -> None:
-    """CSV with one row per index of the columns: floats as %.17g, labels verbatim."""
-    cells = []
-    for c in columns:  # formatted lazily, one row at a time
-        cells.append(c.tolist() if c.dtype.kind == "U" else map(_fmt, c.tolist()))
-    rows = map(",".join, zip(*cells))
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
+    """CSV with one row per index of the equal-length columns: floats as
+    %.17g, labels verbatim.  The whole table is one % format of a row
+    template repeated per row over the values in row order."""
+    row = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    m, n = len(columns), len(columns[0])
+    values = [None] * (m * n)
+    for j, c in enumerate(columns):
+        values[j::m] = c.tolist()
+    Path(path).write_text(header + "\n" + row * n % tuple(values))
 
 
 def cmd_simulate(args) -> int:
@@ -154,6 +158,9 @@ def cmd_relate(args) -> int:
     for e in traj.event_records:
         if e.kind == SUDDEN_CHANGE and e.norm is norm:
             print("kink p=%s" % _fmt(e.p_detected))
+    for e in traj.unmatched:  # analytic sudden changes that no detection matched
+        if e.norm is norm:
+            print("kink p=none p_analytic=%s" % _fmt(e.p_analytic))
     return 0
 
 
@@ -200,7 +207,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by later main calls;
+    parse_args keeps no state between calls."""
     parser = _Parser(prog="qcorr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

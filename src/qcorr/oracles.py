@@ -46,10 +46,12 @@ def trace_norm(delta: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def hs_operator_sq(delta: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm of an operator difference."""
+def hs_operator_sq(delta: np.ndarray):
+    """Squared Hilbert-Schmidt norm of an operator difference; a float for one
+    matrix, an array for a stack of them (each summed over its own entries)."""
     delta = np.asarray(delta)
-    return float(np.sum(np.abs(delta) ** 2))
+    norms = (np.abs(delta) ** 2).reshape(delta.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):

@@ -189,12 +189,18 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def bd_density_columns(r1, r2, r3) -> np.ndarray:
+    """Density matrices (I + sum_j r_j sigma_j x sigma_j) / 4 of Bell-diagonal
+    states; numbers give one 4x4 matrix, arrays a stack of shape r1.shape + (4, 4)."""
+    rho = np.eye(4, dtype=complex)
+    for rj, op in zip((r1, r2, r3), SIGMA_PAIR):
+        rho = rho + np.multiply.outer(rj, op)
+    return rho / 4.0
+
+
 def bd_to_density(r: CorrelationVector) -> np.ndarray:
     """Density matrix (I + sum_j r_j sigma_j x sigma_j) / 4 of a Bell-diagonal state."""
-    rho = np.eye(4, dtype=complex)
-    for rj, op in zip((r.r1, r.r2, r.r3), SIGMA_PAIR):
-        rho = rho + rj * op
-    rho = rho / 4.0
+    rho = bd_density_columns(r.r1, r.r2, r.r3)
     rho.flags.writeable = False
     return rho
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qcorr
 from conftest import REF
-from qcorr.cli import main
+from qcorr.cli import _write_columns, build_parser, main
 from qcorr import errors
 from qcorr.states import CorrelationVector, bd_to_xstate
 
@@ -377,3 +381,76 @@ def test_unmatched_absent_when_every_change_is_detected(tmp_path, capsys):
     )
     assert code == 0 and "p_detected=none" not in stdout
     assert set(json.loads((tmp_path / "pd.events.json").read_text())) == {"events"}
+
+
+def test_relate_lists_unmatched_sudden_changes(tmp_path, capsys):
+    # the same four trace changes that three samples miss in simulate
+    argv = ("--channel", "pf", "--state", "0.65,0.59,-0.38", "--samples", "3")
+    code, stdout, _ = run(capsys, "relate", *argv, "--norm", "trace", "--out", str(tmp_path / "r.csv"))
+    assert code == 0
+    _, curve_out, _ = run(capsys, "curve", *argv, "--out", str(tmp_path / "c.csv"))
+    analytic = [line.rsplit("=", 1)[1] for line in curve_out.splitlines()
+                if line.startswith("SuddenChangeDiscord norm=trace p_detected=none")]
+    assert len(analytic) == 4
+    assert stdout.splitlines() == ["kink p=none p_analytic=%s" % a for a in analytic]
+
+
+def test_parser_is_reused_without_carrying_values(tmp_path, capsys):
+    common = ("--channel", "pd", "--state", STATE, "--samples", "51")
+    relate = ("relate", *common, "--pmax", "0.5", "--norm", "hs")
+    simulate = ("simulate", *common)  # --pmax left at its default
+
+    def outputs(argv, name):
+        out = tmp_path / name
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        files = sorted(tmp_path.glob(Path(name).stem + ".*"))
+        return code, stdout, stderr, [f.read_bytes() for f in files]
+
+    first = {}
+    for argv in (relate, simulate):
+        build_parser.cache_clear()
+        first[argv] = outputs(argv, "first_%s.csv" % argv[0])
+    build_parser.cache_clear()
+    parser = build_parser()
+    code, _, stderr = run(capsys, "relate", *common, "--norm", "both", "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and stderr.startswith("ConfigError:")
+    for argv in (relate, simulate):
+        assert outputs(argv, "again_%s.csv" % argv[0]) == first[argv]
+    assert build_parser() is parser
+    args = parser.parse_args([*simulate, "--out", "t.csv"])
+    assert args.pmax == 1.0 and not hasattr(args, "norm")
+
+
+def test_write_columns_matches_per_value_format(tmp_path):
+    floats = np.array([-0.0, 5e-324, 1e-300, 0.1, 1 / 3, float(2**53 + 1), np.nan, np.inf, -np.inf])
+    labels = np.array(["D1", "r2", "true", "false", "%s", "%", "%.17g", "", "r3"])
+    columns = [floats, labels, floats[::-1].copy()]
+    path = tmp_path / "t.csv"
+    for n in (len(floats), 0):
+        _write_columns(str(path), "a,b,c", [c[:n] for c in columns])
+        rows = [",".join(c[k] if c.dtype.kind == "U" else "%.17g" % c[k] for c in columns)
+                for k in range(n)]
+        assert path.read_bytes() == ("\n".join(["a,b,c", *rows]) + "\n").encode()
+
+
+def _qcorr_process(*argv):
+    """python -m qcorr in a fresh interpreter that imports this checkout's qcorr."""
+    src = str(Path(qcorr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "qcorr", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+def test_module_entry_point(tmp_path, capsys):
+    argv = ("simulate", "--channel", "pd", "--state", STATE, "--samples", "101")
+    proc = _qcorr_process(*argv, "--out", str(tmp_path / "process.csv"))
+    code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path / "in_process.csv"))
+    assert proc.returncode == code == 0 and proc.stderr == "" and proc.stdout == stdout
+    assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+    bad = _qcorr_process("simulate", "--channel", "amp", "--state", STATE, "--out", str(tmp_path / "x.csv"))
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("ConfigError: unknown channel 'amp'")
+    assert bad.stderr.count("\n") == 1 and "Traceback" not in bad.stderr

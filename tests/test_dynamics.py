@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import REF
-from qcorr.channels import ChannelKind, monotone_p_max
+from qcorr.channels import ChannelKind, evolved_vector, monotone_p_max
 from qcorr.dynamics import (
     SUDDEN_CHANGE,
     SUDDEN_DEATH,
@@ -11,9 +11,10 @@ from qcorr.dynamics import (
     run_trajectory,
 )
 from qcorr.errors import EmptyWindow, NonPhysical, OutOfRange
+from qcorr.oracles import hs_operator_sq, trace_norm
 from qcorr.quantifiers import Norm
 from qcorr.sampling import random_bd_pairs
-from qcorr.states import CorrelationVector
+from qcorr.states import CorrelationVector, bd_to_density
 
 PD, DEP = ChannelKind.PHASE_DAMPING, ChannelKind.DEPOLARIZING
 R0 = CorrelationVector(*REF)
@@ -194,9 +195,6 @@ def test_contractivity_bell_vs_center():
     rep = contractivity_scan(DEP, pairs, np.linspace(0, 1, 51))
     assert rep.clean
     # trace distance starts at 1.5 and decreases monotonically
-    from qcorr.oracles import trace_norm
-    from qcorr.states import bd_to_density
-
     np.testing.assert_allclose(
         trace_norm(bd_to_density(pairs[0][0]) - bd_to_density(pairs[0][1])), 1.5
     )
@@ -209,3 +207,46 @@ def test_contractivity_random_pairs(kind):
     grid = np.linspace(0.0, monotone_p_max(kind), 41)
     rep = contractivity_scan(kind, pairs, grid)
     assert rep.clean, rep.violations[:3]
+
+
+def _scan_one_matrix_at_a_time(channel, pairs, p_grid):
+    """contractivity_scan's reference: one evolved pair and one 4x4 matrix per step."""
+    max_up = {"trace": 0.0, "hs": 0.0}
+    violations = []
+    for i, (ra, rb) in enumerate(pairs):
+        prev = None
+        for p in map(float, p_grid):
+            delta = bd_to_density(evolved_vector(channel, ra, p)) - bd_to_density(
+                evolved_vector(channel, rb, p)
+            )
+            now = {"trace": trace_norm(delta), "hs": hs_operator_sq(delta)}
+            for norm in ("trace", "hs") if prev else ():
+                up = now[norm] - prev[norm]
+                max_up[norm] = max(max_up[norm], up)
+                if up > 1e-12:
+                    violations.append((i, norm, p, up))
+            prev = now
+    return max_up["hs"], max_up["trace"], tuple(violations)
+
+
+@pytest.mark.parametrize("kind", [ChannelKind.PHASE_FLIP, DEP])
+def test_contractivity_matches_one_matrix_at_a_time(kind):
+    # phase flip past p = 1/2 is not monotone, so its violations are listed
+    pairs = random_bd_pairs(np.random.default_rng(5), 12)
+    grid = np.linspace(0.0, 1.0, 31)
+    rep = contractivity_scan(kind, pairs, grid)
+    expected = _scan_one_matrix_at_a_time(kind, pairs, grid)
+    assert (rep.max_increase_hs, rep.max_increase_trace, rep.violations) == expected
+    assert bool(rep.violations) == (kind is ChannelKind.PHASE_FLIP)
+
+
+@pytest.mark.parametrize("pairs, grid", [([], np.linspace(0, 1, 5)), ([(R0, R0)], [0.5]), ([(R0, R0)], [])])
+def test_contractivity_without_steps_is_clean(pairs, grid):
+    rep = contractivity_scan(PD, pairs, grid)
+    assert (rep.max_increase_hs, rep.max_increase_trace, rep.violations) == (0.0, 0.0, ())
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.5], [-0.5]])
+def test_contractivity_rejects_p_outside_unit_interval(grid):
+    with pytest.raises(OutOfRange):
+        contractivity_scan(PD, [(R0, R0)], grid)

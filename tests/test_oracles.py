@@ -181,3 +181,11 @@ def test_trace_norm_of_a_stack():
     norms = trace_norm(deltas)
     assert isinstance(norms, np.ndarray) and norms.tolist() == [0.0, 1.0]
     assert isinstance(trace_norm(deltas[1]), float)
+
+
+def test_hs_operator_sq_of_a_stack():
+    deltas = np.random.default_rng(2).normal(size=(3, 5, 4, 4)) * (1 + 1j)
+    norms = hs_operator_sq(deltas)
+    assert isinstance(norms, np.ndarray) and norms.shape == (3, 5)
+    assert norms.tolist() == [[hs_operator_sq(d) for d in row] for row in deltas]
+    assert isinstance(hs_operator_sq(deltas[0, 0]), float)

@@ -10,6 +10,7 @@ from qcorr.states import (
     XState,
     bd_to_density,
     bd_to_xstate,
+    bd_density_columns,
     bell_eigenvalues,
     classify_region,
     density_to_bd,
@@ -97,6 +98,14 @@ def test_nonphysical_raises_with_eigenvalue():
 def test_non_finite_vector_raises(r):
     with pytest.raises(NonPhysical, match="not finite"):
         CorrelationVector(*r)
+
+
+def test_density_stack_matches_single_states():
+    rs = np.random.default_rng(9).uniform(-0.33, 0.33, (40, 3))  # inside the octahedron
+    stack = bd_density_columns(*rs.T)
+    assert stack.shape == (40, 4, 4)
+    for r, rho in zip(rs, stack):
+        assert rho.tobytes() == bd_to_density(CorrelationVector(*r)).tobytes()
 
 
 def test_marginals_maximally_mixed():
