@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind, decay_factors, evolved_vector
-from .errors import DegenerateOrdering, EmptyWindow, NonPhysical, NotEntangled, OutOfRange
+from .errors import DegenerateOrdering, EmptyWindow, NonPhysical, NotEntangled, OutOfRange, allocation_guard
 from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
     Norm,
@@ -158,10 +158,8 @@ def run_trajectory(
         raise OutOfRange("n_samples = %d must be at least 2" % n_samples)
     if not 0.0 < p_max <= 1.0:
         raise OutOfRange("p_max = %g outside (0, 1]" % p_max)
-    try:
+    with allocation_guard("n_samples = %d" % n_samples):
         p = np.linspace(0.0, p_max, n_samples)
-    except (ValueError, MemoryError):  # more samples than one array can hold
-        raise OutOfRange("n_samples = %d is too large" % n_samples) from None
 
     r = _evolve(channel, r0.as_array()[None], p)[0]
     d_hs, i_hs = hs_discord_columns(*r.T)

@@ -1,5 +1,7 @@
 """Exception types shared across the library; each carries its CLI exit code."""
 
+import contextlib
+
 
 class QcorrError(Exception):
     """Base class for all qcorr errors."""
@@ -47,3 +49,14 @@ class NumericalFailure(QcorrError):
 class VerifyFailure(QcorrError):
     """An oracle check of the verification report exceeded its tolerance."""
     exit_code = 5
+
+
+@contextlib.contextmanager
+def allocation_guard(what: str):
+    """Turn numpy's refusal to build an array in the block, for more elements
+    than an index can address (ValueError) or more memory than there is
+    (MemoryError), into OutOfRange("<what> is too large")."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise OutOfRange("%s is too large" % what) from None

@@ -10,13 +10,12 @@ prefactor, which makes the trace entanglement equal the concurrence.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .states import SIGMA_2, CorrelationVector, XState, validate_density
+from .states import SIGMA_2, CorrelationVector, XState, _sqrt_clamped, _where, validate_density
 
 
 class Norm(enum.Enum):
@@ -32,14 +31,8 @@ class QuantifierValue:
 
 # Each closed form below is written once, over the components of the state.
 # They may be numbers (one state) or equal-shape arrays (one state per row);
-# plain arithmetic serves both, and the helpers below do the rest.
-
-
-def _where(cond, a, b):
-    """a where cond holds, else b: np.where on arrays, a conditional on numbers."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+# plain arithmetic serves both, and the helpers below and states' _where and
+# _sqrt_clamped do the rest.
 
 
 def square(x):
@@ -49,13 +42,6 @@ def square(x):
     and would move the pinned outputs; float_power is pow.
     """
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
-
-
-def _sqrt_clamped(x):
-    """sqrt(max(x, 0))."""
-    if isinstance(x, np.ndarray):
-        return np.sqrt(np.maximum(x, 0.0))
-    return math.sqrt(x) if x > 0.0 else 0.0
 
 
 def _pick(first, second, values) -> tuple:

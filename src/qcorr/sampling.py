@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quantifiers import concurrence_x
-from .states import CorrelationVector, XState
+from .states import CorrelationVector, XState, check_xstate_columns
 
 DEFAULT_SEED = 42
 
@@ -40,13 +40,42 @@ def random_entangled_bd(rng: np.random.Generator, min_gap: float = 0.0) -> Corre
     raise RuntimeError("rejection sampling failed")  # pragma: no cover
 
 
+def _xstate_from_draws(exps, u) -> tuple:
+    """X-state parameters (a, b, c, d, e, f) from four Exp(1) draws and four
+    uniforms per state; rows of (n, 4) arrays, or one state from 4-vectors.
+
+    The populations are the draws over their sum, which is the flat Dirichlet
+    distribution (the arithmetic of rng.dirichlet(np.ones(4))).  The first two
+    uniforms are the squared moduli of e and f relative to sqrt(ad) and
+    sqrt(bc), the last two their phases over 2 pi.
+    """
+    a, b, c, d = exps.T
+    inv = 1.0 / (a + b + c + d)
+    a, b, c, d = a * inv, b * inv, c * inv, d * inv
+    r_e, r_f, th_e, th_f = u.T
+    e = np.sqrt(a * d) * np.sqrt(r_e) * np.exp(1j * ((2.0 * np.pi) * th_e))
+    f = np.sqrt(b * c) * np.sqrt(r_f) * np.exp(1j * ((2.0 * np.pi) * th_f))
+    return a, b, c, d, e, f
+
+
+def random_xstate_columns(rng: np.random.Generator, n: int) -> tuple:
+    """Columns (a, b, c, d, e, f) of n X states with flat-simplex populations
+    and disk-uniform coherences, checked by check_xstate_columns.
+
+    The draws go state by state, so the columns equal n random_xstate calls.
+    """
+    exps, u = np.empty((n, 4)), np.empty((n, 4))
+    for i in range(n):
+        rng.standard_exponential(4, out=exps[i])
+        rng.random(4, out=u[i])
+    columns = _xstate_from_draws(exps, u)
+    check_xstate_columns(*columns)
+    return columns
+
+
 def random_xstate(rng: np.random.Generator) -> XState:
-    """X state with flat-simplex populations and disk-uniform coherences."""
-    a, b, c, d = rng.dirichlet(np.ones(4))
-    re = np.sqrt(a * d) * np.sqrt(rng.uniform())
-    rf = np.sqrt(b * c) * np.sqrt(rng.uniform())
-    th_e, th_f = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return XState(a, b, c, d, re * np.exp(1j * th_e), rf * np.exp(1j * th_f))
+    """One state of random_xstate_columns."""
+    return XState(*_xstate_from_draws(rng.standard_exponential(4), rng.random(4)))
 
 
 def random_entangled_xstate(rng: np.random.Generator) -> XState:

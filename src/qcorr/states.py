@@ -11,6 +11,7 @@ e = (r1 - r2)/4, f = (r1 + r2)/4.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,28 @@ PAULI = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 # sigma_j x sigma_j, the three correlation operators
 SIGMA_PAIR = tuple(np.kron(s, s) for s in PAULI)
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a conditional on numbers."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _sqrt_clamped(x):
+    """sqrt(max(x, 0))."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0.0))
+    return math.sqrt(x) if x > 0.0 else 0.0
+
+
+def _modulus(z):
+    """|z| rounded as Python's abs rounds a complex number, by libm hypot;
+    numpy's abs of a complex array differs from it in the last bit for some z."""
+    if isinstance(z, np.ndarray):
+        return np.hypot(z.real, z.imag)
+    return abs(z)
 
 
 def bell_eigenvalues(r1: float, r2: float, r3: float) -> tuple[float, float, float, float]:
@@ -111,27 +134,10 @@ class XState:
         object.__setattr__(self, "d", float(self.d))
         object.__setattr__(self, "e", complex(self.e))
         object.__setattr__(self, "f", complex(self.f))
-        pops = (self.a, self.b, self.c, self.d)
-        # Negated comparisons, so that NaN fails them; an infinite population
-        # fails the sum check.
-        if not min(pops) >= -EPS_PSD:
-            raise NonPhysical("population %.6g is negative" % min(pops))
-        if not abs(sum(pops) - 1.0) <= 1e-9:
-            raise NonPhysical("populations sum to %.12g, expected 1" % sum(pops))
-        if not abs(self.e) <= np.sqrt(max(self.a * self.d, 0.0)) + EPS_PSD:
-            raise NonPhysical(
-                "|e| = %.6g exceeds sqrt(a*d) = %.6g" % (abs(self.e), np.sqrt(max(self.a * self.d, 0.0)))
-            )
-        if not abs(self.f) <= np.sqrt(max(self.b * self.c, 0.0)) + EPS_PSD:
-            raise NonPhysical(
-                "|f| = %.6g exceeds sqrt(b*c) = %.6g" % (abs(self.f), np.sqrt(max(self.b * self.c, 0.0)))
-            )
+        check_xstate_columns(self.a, self.b, self.c, self.d, self.e, self.f)
 
     def to_density(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = self.a, self.b, self.c, self.d
-        rho[0, 3], rho[3, 0] = self.e, np.conj(self.e)
-        rho[1, 2], rho[2, 1] = self.f, np.conj(self.f)
+        rho = x_density_columns(self.a, self.b, self.c, self.d, self.e, self.f)
         rho.flags.writeable = False
         return rho
 
@@ -148,6 +154,49 @@ class XState:
         e = complex(obj["e"][0], obj["e"][1])
         f = complex(obj["f"][0], obj["f"][1])
         return cls(a, b, c, d, e, f)
+
+
+def check_xstate_columns(a, b, c, d, e, f) -> None:
+    """Raise NonPhysical unless populations a, b, c, d and coherences e, f form
+    a physical X state: populations >= -EPS_PSD summing to 1 within 1e-9,
+    |e| <= sqrt(ad) and |f| <= sqrt(bc) within EPS_PSD.
+
+    Numbers check one state; equal-length arrays check one state per row, and
+    the first failing row raises the message it raises on its own.
+    """
+    low = a  # min(a, b, c, d) in the order of Python's min, NaN included
+    for pop in (b, c, d):
+        low = _where(pop < low, pop, low)
+    total = a + b + c + d
+    abs_e, abs_f = _modulus(e), _modulus(f)
+    bound_e, bound_f = _sqrt_clamped(a * d), _sqrt_clamped(b * c)
+    # Negated comparisons, so that NaN fails them; an infinite population
+    # fails the sum check.
+    checks = (
+        (low >= -EPS_PSD, "population %.6g is negative", (low,)),
+        (abs(total - 1.0) <= 1e-9, "populations sum to %.12g, expected 1", (total,)),
+        (abs_e <= bound_e + EPS_PSD, "|e| = %.6g exceeds sqrt(a*d) = %.6g", (abs_e, bound_e)),
+        (abs_f <= bound_f + EPS_PSD, "|f| = %.6g exceeds sqrt(b*c) = %.6g", (abs_f, bound_f)),
+    )
+    if isinstance(low, np.ndarray):
+        k = _leading(np.logical_and.reduce([ok for ok, _, _ in checks]))
+        if k == len(low):
+            return
+        checks = [(ok[k], msg, tuple(v[k] for v in values)) for ok, msg, values in checks]
+    for ok, msg, values in checks:
+        if not ok:
+            raise NonPhysical(msg % values)
+
+
+def x_density_columns(a, b, c, d, e, f) -> np.ndarray:
+    """Density matrices of X states; numbers give one 4x4 matrix, arrays a
+    stack of shape a.shape + (4, 4)."""
+    rho = np.zeros(np.shape(a) + (4, 4), dtype=complex)
+    t = rho.T  # t[j, i] is rho[..., i, j], and cheaper to index than the ellipsis
+    t[0, 0], t[1, 1], t[2, 2], t[3, 3] = a, b, c, d
+    t[3, 0], t[0, 3] = e, np.conj(e)
+    t[2, 1], t[1, 2] = f, np.conj(f)
+    return rho
 
 
 class RegionLabel(enum.Enum):

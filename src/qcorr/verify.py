@@ -21,15 +21,16 @@ from .oracles import (
 )
 from .quantifiers import (
     Norm,
+    concurrence_columns,
     concurrence_x,
     hs_discord,
     hs_entanglement,
     trace_discord,
     wootters_concurrence,
 )
-from .sampling import DEFAULT_SEED, random_entangled_xstate, random_xstate
-from .states import CorrelationVector, XState
-from .errors import NonPhysical, OutOfRange
+from .errors import NonPhysical, OutOfRange, allocation_guard
+from .sampling import DEFAULT_SEED, random_entangled_xstate, random_xstate_columns
+from .states import CorrelationVector, XState, _modulus, x_density_columns
 
 TOLERANCES = {
     "hs_discord_vs_closest_classical": 1e-6,
@@ -55,20 +56,26 @@ def physical_grid(n: int) -> list[CorrelationVector]:
     return out
 
 
-def _check(measure, states, distances, closed_form, evaluations, bump=0.0) -> dict:
-    """Report entry for oracle distances against the closed form's values."""
-    deviations = [abs(d - (closed_form(s).value + bump)) for s, d in zip(states, distances)]
+def _entry(measure, deviations, state_at, evaluations) -> dict:
+    """Report entry for the oracle's deviations from the closed form, one per
+    state; state_at(k) is state k."""
     tol = TOLERANCES[measure]
     worst = int(np.argmax(deviations))
     max_dev = float(deviations[worst])
     return {
         "measure": measure,
         "max_abs_deviation": max_dev,
-        "worst_case_state": states[worst].to_json(),
+        "worst_case_state": state_at(worst).to_json(),
         "evaluations": int(evaluations),
         "tolerance": tol,
         "pass": bool(max_dev <= tol),
     }
+
+
+def _check(measure, states, distances, closed_form, evaluations, bump=0.0) -> dict:
+    """Report entry for oracle distances against the closed form's values."""
+    deviations = [abs(d - (closed_form(s).value + bump)) for s, d in zip(states, distances)]
+    return _entry(measure, deviations, states.__getitem__, evaluations)
 
 
 def _oracle_check(measure, states, results, closed_form, bump=0.0) -> dict:
@@ -90,9 +97,14 @@ def run_verification(
     detects a broken formula; extra_xstate adds one user-supplied state to the
     trace-distance/concurrence identity check.
     """
-    for name, size in (("grid", grid), ("xstates", n_xstates), ("wootters", n_wootters)):
+    # states per check: at most grid**3 lattice points, n_xstates, n_wootters
+    for name, size, states in (("grid", grid, grid**3), ("xstates", n_xstates, n_xstates),
+                               ("wootters", n_wootters, n_wootters)):
         if size < 1:
             raise OutOfRange("%s: size %d is below 1" % (name, size))
+        # the largest array of a check, one complex 4x4 matrix per state
+        with allocation_guard("%s: size %d" % (name, size)):
+            np.empty((states, 4, 4), dtype=complex)
     bump = 1e-3 if mutate else 0.0
     states = physical_grid(grid)
     checks = [
@@ -114,10 +126,12 @@ def run_verification(
     dists = candidate_distances(xstates, [clamped_minimizer(x) for x in xstates]).tolist()
     checks.append(_check("clamped_minimizer_vs_concurrence", xstates, dists, concurrence_x, len(xstates)))
 
-    wstates = [random_xstate(rng) for _ in range(n_wootters)]
-    rhos = np.fromiter((x.to_density() for x in wstates), dtype=(complex, (4, 4)), count=len(wstates))
-    woot = wootters_concurrence(rhos)
-    checks.append(_check("wootters_vs_concurrence_x", wstates, woot.tolist(), concurrence_x, len(wstates)))
+    wcols = random_xstate_columns(rng, n_wootters)
+    woot = wootters_concurrence(x_density_columns(*wcols))
+    a, b, c, d, e, f = wcols
+    conc, _ = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))
+    checks.append(_entry("wootters_vs_concurrence_x", np.abs(woot - conc),
+                         lambda k: XState(*(col[k] for col in wcols)), n_wootters))
 
     all_pass = all(c["pass"] for c in checks)
     return {"seed": int(seed), "grid": int(grid), "checks": checks, "all_pass": all_pass}

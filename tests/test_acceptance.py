@@ -21,11 +21,11 @@ from qcorr.channels import (
 from qcorr.cli import main
 from qcorr.dynamics import SUDDEN_CHANGE, SUDDEN_DEATH, contractivity_scan, run_trajectory
 from qcorr.oracles import (
+    candidate_distances,
     clamped_minimizer,
     closest_classical,
     closest_separable_hs,
-    closest_separable_trace_xfamily,
-    trace_norm,
+    closest_separable_trace_xfamily_many,
 )
 from qcorr.quantifiers import (
     Norm,
@@ -46,12 +46,14 @@ from qcorr.relations import (
     sudden_death_time,
     trace_discord_from_concurrence,
 )
-from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate, random_xstate
+from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate, random_xstate_columns
 from qcorr.states import (
     CorrelationVector,
     bd_to_density,
+    _modulus,
     bd_xstate_columns,
     density_to_bd,
+    x_density_columns,
 )
 from qcorr.verify import physical_grid
 
@@ -95,15 +97,15 @@ def test_criterion_02_trace_oracle_equivalence():
 
 
 def test_criterion_03_trace_distance_identity():
+    # the stacked searches and trace norms equal the one-state calls bit for bit
+    # (tests/test_oracles.py pins both)
     rng = np.random.default_rng(SEED)
-    dev_grid = 0.0
-    dev_clamped = 0.0
-    for _ in range(1000):
-        x = random_entangled_xstate(rng)
-        c = concurrence_x(x).value
-        dev_grid = max(dev_grid, abs(closest_separable_trace_xfamily(x).distance - c))
-        sigma = clamped_minimizer(x)
-        dev_clamped = max(dev_clamped, abs(trace_norm(x.to_density() - sigma.to_density()) - c))
+    xs = [random_entangled_xstate(rng) for _ in range(1000)]
+    c = np.array([concurrence_x(x).value for x in xs])
+    grid = np.array([res.distance for res in closest_separable_trace_xfamily_many(xs)])
+    clamped = candidate_distances(xs, [clamped_minimizer(x) for x in xs])
+    dev_grid = float(np.abs(grid - c).max())
+    dev_clamped = float(np.abs(clamped - c).max())
     _report(
         3,
         "trace_distance_identity",
@@ -113,11 +115,10 @@ def test_criterion_03_trace_distance_identity():
 
 
 def test_criterion_04_concurrence_oracle():
-    rng = np.random.default_rng(SEED)
-    dev = 0.0
-    for _ in range(10000):
-        x = random_xstate(rng)
-        dev = max(dev, abs(wootters_concurrence(x.to_density()) - concurrence_x(x).value))
+    a, b, c, d, e, f = random_xstate_columns(np.random.default_rng(SEED), 10000)
+    woot = wootters_concurrence(x_density_columns(a, b, c, d, e, f))
+    closed, _ = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))
+    dev = float(np.abs(woot - closed).max())
     _report(4, "wootters_concurrence", dev <= 1e-10, "dev=%.3e" % dev)
 
 

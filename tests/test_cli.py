@@ -264,7 +264,11 @@ def test_verify_mutation_exit5(tmp_path, capsys):
     "sizes",
     [("--grid", "3", "--xstates", "0", "--wootters", "10"),
      ("--grid", "3", "--xstates", "2", "--wootters", "0"),
-     ("--grid", "0", "--xstates", "2", "--wootters", "10")],
+     ("--grid", "0", "--xstates", "2", "--wootters", "10"),
+     # sizes beyond any array: exit before the first draw, which would not end
+     ("--grid", str(10**20), "--xstates", "2", "--wootters", "10"),
+     ("--grid", "3", "--xstates", str(10**20), "--wootters", "10"),
+     ("--grid", "3", "--xstates", "2", "--wootters", str(10**20))],
 )
 def test_verify_empty_sizes_exit2(sizes, tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify", *sizes, "--out", str(tmp_path / "v.json"))
@@ -283,6 +287,8 @@ _SWEEP_OPTIONS = {
     # sample counts that cannot allocate: too few, few, the default, or beyond any array
     "--samples": (("2", "3", "11", "1001"), ("-1", "0", "1", str(10**20), "1e3")),
 }
+# verify sizes: the smallest run, or sizes below 1 or beyond any array
+_VERIFY_SIZES = {option: (("1",), ("0", "-1", str(10**20))) for option in ("--grid", "--xstates", "--wootters")}
 _XSTATE_TEXTS = (
     json.dumps({"diag": [0.4, 0.1, 0.1, 0.4], "e": [0.3, 0.0], "f": [0.0, 0.0]}),
     json.dumps({"diag": [0.25] * 4, "e": [0.0, 0.1], "f": [0.2, 0.0]}),
@@ -298,12 +304,15 @@ _XSTATE_TEXTS = (
 
 @st.composite
 def _argv(draw):
-    """argv for a sweep command, or for a minimal verify with an extra X state."""
+    """argv for a sweep command, or for a minimal verify (sizes 1, or out of
+    range) with an extra X state."""
     command = draw(st.sampled_from(("verify", "simulate", "relate", "curve")))
     if command == "verify":
-        return ["verify", "--grid", "1", "--xstates", "1", "--wootters", "1"], draw(
-            st.sampled_from(_XSTATE_TEXTS)
-        )
+        broken = draw(st.sets(st.sampled_from(sorted(_VERIFY_SIZES)), max_size=2))
+        argv = ["verify"]
+        for option, (good, bad) in _VERIFY_SIZES.items():
+            argv += [option, draw(st.sampled_from(bad if option in broken else good))]
+        return argv, draw(st.sampled_from(_XSTATE_TEXTS))
     broken = draw(st.sets(st.sampled_from(sorted(_SWEEP_OPTIONS)), max_size=2))
     argv = [command]
     for option, (good, bad) in _SWEEP_OPTIONS.items():

@@ -1,0 +1,62 @@
+import numpy as np
+import pytest
+
+from qcorr.errors import NonPhysical
+from qcorr.sampling import random_xstate, random_xstate_columns
+from qcorr.states import XState, check_xstate_columns, x_density_columns
+
+
+def _dirichlet_xstate(rng):
+    """The draws of random_xstate as rng.dirichlet and rng.uniform calls, the
+    reference that the columns must match bit for bit."""
+    a, b, c, d = rng.dirichlet(np.ones(4))
+    re = np.sqrt(a * d) * np.sqrt(rng.uniform())
+    rf = np.sqrt(b * c) * np.sqrt(rng.uniform())
+    th_e, th_f = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    return XState(a, b, c, d, re * np.exp(1j * th_e), rf * np.exp(1j * th_f))
+
+
+def _rows(columns):
+    a, b, c, d, e, f = columns
+    return np.stack([a, b, c, d, e, f], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_xstate_columns_equal_single_draws(seed):
+    n = 7000  # 21,000 states over the three seeds
+    columns = random_xstate_columns(np.random.default_rng(seed), n)
+    for draw in (random_xstate, _dirichlet_xstate):
+        rng = np.random.default_rng(seed)
+        states = [draw(rng) for _ in range(n)]
+        assert _rows(columns) == _rows([np.array([getattr(x, k) for x in states]) for k in "abcdef"])
+    stack = x_density_columns(*columns)
+    assert stack.shape == (n, 4, 4)
+    for k in (0, 1, n - 1):
+        assert stack[k].tobytes() == states[k].to_density().tobytes()
+
+
+def _scalar_message(row) -> str:
+    with pytest.raises(NonPhysical) as info:
+        XState(*row)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        {1: ("a", -0.1)},  # negative population, and a sum off 1
+        {2: ("b", np.nan)},  # NaN after the first population: the sum check names it
+        {3: ("d", 0.9)},  # sum off 1
+        {2: ("e", 1.0)},  # |e| beyond sqrt(a d)
+        {4: ("f", 0.5j), 1: ("e", 1.0)},  # the first failing row raises
+    ],
+)
+def test_xstate_column_check_raises_the_scalar_message(corrupt):
+    columns = dict(zip("abcdef", (col.copy() for col in random_xstate_columns(np.random.default_rng(4), 6))))
+    for row, (name, value) in corrupt.items():
+        columns[name][row] = value
+    first = min(corrupt)
+    expected = _scalar_message([columns[k][first] for k in "abcdef"])
+    with pytest.raises(NonPhysical) as info:
+        check_xstate_columns(*columns.values())
+    assert str(info.value) == expected
