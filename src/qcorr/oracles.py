@@ -20,8 +20,9 @@ from .errors import NumericalFailure
 from .quantifiers import Norm, square
 from .states import SIGMA_PAIR, CorrelationVector, XState, bd_to_density
 
-# points per axis of every search grid, and their indices
-_GRID_POINTS = 21
+# points per axis of every search grid, and their indices; each zoom shrinks
+# the half-width to one grid spacing, h / ((_GRID_POINTS - 1) / 2)
+_GRID_POINTS = 5
 _STEPS = np.arange(_GRID_POINTS, dtype=float)
 
 # searches advanced together by _grid_min: bounds each level's stack of points
@@ -59,13 +60,16 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     grid zoom, all searches in lockstep.
 
     A search's first grid of _GRID_POINTS points per axis spans its whole box.
-    Each later grid is centred on its best point so far with a tenth of the
-    previous half-width, until that half-width is at most refine_to; searches
-    with smaller boxes stop earlier.  f(active, *coords) evaluates the searches
-    whose indices are in active, with one (len(active), points) coordinate
-    array per axis, and returns the values in the same shape.  Searches run in
-    blocks of _BLOCK, which bounds the size of each level's stack.  Returns
-    the best points (S, dims), their values and the evaluations per search.
+    Each later grid is centred on its best point so far with a half-width of
+    one grid spacing, until that half-width is at most refine_to; searches
+    with smaller boxes stop earlier.  On each grid line through the best
+    point, a convex function's minimum lies within one spacing of that point,
+    so the zoom keeps it inside the next grid.  f(active, *coords) evaluates
+    the searches whose indices are in active, with one (len(active), points)
+    coordinate array per axis, and returns the values in the same shape.
+    Searches run in blocks of _BLOCK, which bounds the size of each level's
+    stack.  Returns the best points (S, dims), their values and the
+    evaluations per search.
     """
     n = len(lo)
     best = np.empty((n, dims))
@@ -90,7 +94,7 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
             rows = np.arange(len(active))
             c = axes[rows[:, None], np.arange(dims), mesh[:, k].T]
             levels += 1
-            h = h / 10.0
+            h = h / ((_GRID_POINTS - 1) / 2)
             done = (h <= refine_to)[:, 0]
             if done.any():
                 finished = active[done]

@@ -132,7 +132,7 @@ def test_golden_relation_inverses():
 # evaluation counts of the oracles included.
 VERIFY_SIZES = ("--grid", "5", "--xstates", "50", "--wootters", "500")
 VERIFY_XSTATE = XState(0.3, 0.2, 0.1, 0.4, 0.2 + 0.1j, 0.05j)
-VERIFY = "54fbdae84fa1608059aeb8accd3eacdcc90d7566ef58c3d4e0a5f5c1767ee279"
+VERIFY = "9f1346ac3cc4a11f693264c48dd8c2ca5b6f43bb962861371fcee491dc93a671"
 
 
 def test_golden_verify_reports(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from conftest import REF, physical_vectors, xstates
 from qcorr.oracles import (
     _BLOCK,
+    candidate_distances,
     clamped_minimizer,
     closest_classical,
     closest_classical_many,
@@ -42,12 +43,12 @@ def test_closest_classical_examples():
 
     res = closest_classical(CorrelationVector(*REF), Norm.HS)
     np.testing.assert_allclose(res.distance, 0.4925, atol=1e-6)
-    # per axis: one 21-point grid over [-1, 1] and eight zooms down to 1e-8
-    assert res.evaluations == 3 * 9 * 21
+    # per axis: 27 levels of 5 points, the half-width halving from 1 to 2**-27 <= 1e-8
+    assert res.evaluations == 3 * 27 * 5
 
     res = closest_classical(CorrelationVector(*REF), Norm.TRACE)
     np.testing.assert_allclose(res.distance, 0.59, atol=1e-4)
-    assert res.evaluations == 3 * 9 * 21
+    assert res.evaluations == 3 * 27 * 5
 
 
 def test_closest_separable_hs_examples():
@@ -158,14 +159,16 @@ def test_classical_lockstep_matches_single_searches(norm):
     assert list(map(repr, batched)) == [repr(closest_classical(r, norm)) for r in states]
 
 
+# a = d = t bounds both coherences by t: boxes over five decades, whose
+# searches stop at different zoom levels; |f| is clamped to the box edge but
+# at t = 0.2
+DECADES = [XState(t, 0.5 - t, 0.5 - t, t, 0.9 * t, 0.1 * (0.5 - t)) for t in (0.2, 1e-2, 1e-3, 1e-4, 1e-5)]
+
+
 def test_xfamily_lockstep_matches_single_searches():
     rng = np.random.default_rng(11)
     xs = [random_entangled_xstate(rng) for _ in range(200)]
-    # a = d = t bounds both coherences by t: boxes over five decades, whose
-    # searches stop at different zoom levels
-    decades = [
-        XState(t, 0.5 - t, 0.5 - t, t, 0.9 * t, 0.1 * (0.5 - t)) for t in (0.2, 1e-2, 1e-3, 1e-4, 1e-5)
-    ]
+    decades = DECADES
     separable = XState(0.5, 0.25, 0.25, 0.0, 0.0, 0.0)  # a d = 0: no search
     xs = xs[:90] + decades[:3] + [separable] + decades[3:] + xs[90:]
     assert len(xs) > 3 * _BLOCK
@@ -174,6 +177,40 @@ def test_xfamily_lockstep_matches_single_searches():
     assert batched[93].evaluations == 1 and batched[93].distance == 0.0
     levels = {res.evaluations for res in batched[90:96] if res.evaluations > 1}
     assert len(levels) == 5
+
+
+def _levels(half_width: float, refine_to: float) -> int:
+    """Zoom levels of a 5-point search: each halves the half-width, down to refine_to."""
+    levels = 0
+    while True:
+        half_width /= 2.0
+        levels += 1
+        if half_width <= refine_to:
+            return levels
+
+
+def test_search_evaluations_are_levels_times_grid_points():
+    for r in (CorrelationVector(*REF), CorrelationVector(0.3, 0.0, 0.0), CorrelationVector(1, -1, 1)):
+        for norm in Norm:
+            # one search per axis over [-1, 1], to 1e-8
+            assert closest_classical(r, norm).evaluations == 3 * _levels(1.0, 1e-8) * 5
+    rng = np.random.default_rng(3)
+    for x in DECADES + [random_entangled_xstate(rng) for _ in range(20)]:
+        bound = min(np.sqrt(x.a * x.d), np.sqrt(x.b * x.c))
+        # one search over [0, bound]^2 to 1e-7, and the distance of its minimizer
+        assert closest_separable_trace_xfamily(x).evaluations == _levels(bound / 2.0, 1e-7) * 5**2 + 1
+
+
+def test_zoom_reaches_minima_on_box_edges():
+    for x in DECADES:
+        clamped = candidate_distances([x], [clamped_minimizer(x)])[0]
+        assert abs(closest_separable_trace_xfamily(x).distance - clamped) <= 1e-7
+    # at a vertex every axis search has its minimum at t = +-1, an end of its box
+    for r in (CorrelationVector(1, -1, 1), CorrelationVector(-1, -1, -1)):
+        for norm, closed_form in ((Norm.HS, hs_discord), (Norm.TRACE, trace_discord)):
+            res = closest_classical(r, norm)
+            assert abs(res.distance - closed_form(r).value) <= 1e-7
+            assert abs(np.abs(res.minimizer.as_array()).max() - 1.0) <= 1e-7
 
 
 def test_trace_norm_of_a_stack():
