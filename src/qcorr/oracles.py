@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .quantifiers import Norm, square
-from .states import SIGMA_PAIR, CorrelationVector, XState, bd_to_density
+from .states import SIGMA_PAIR, CorrelationVector, XState, bd_to_density, x_density_columns
 
 # points per axis of every search grid, and their indices; each zoom shrinks
 # the half-width to one grid spacing, h / ((_GRID_POINTS - 1) / 2)
@@ -207,11 +207,15 @@ def _separability_bound(x: XState) -> float:
     return min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
 
 
+def _x_densities(xs) -> np.ndarray:
+    """Stacked density matrices of X states."""
+    return x_density_columns(*np.array([(x.a, x.b, x.c, x.d, x.e, x.f) for x in xs]).T)
+
+
 def candidate_distances(xs, sigmas) -> np.ndarray:
     """Trace distances ||rho_X - sigma_X||_1 of paired X states; one batched
     eigensolve of the complex operator differences."""
-    diffs = [x.to_density() - sigma.to_density() for x, sigma in zip(xs, sigmas)]
-    return trace_norm(np.array(diffs).reshape(len(xs), 4, 4))
+    return trace_norm(_x_densities(xs) - _x_densities(sigmas))
 
 
 def closest_separable_trace_xfamily_many(xs) -> list[OracleResult]:
