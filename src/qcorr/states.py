@@ -170,8 +170,7 @@ def check_xstate_columns(a, b, c, d, e, f) -> None:
     total = a + b + c + d
     abs_e, abs_f = _modulus(e), _modulus(f)
     bound_e, bound_f = _sqrt_clamped(a * d), _sqrt_clamped(b * c)
-    # Negated comparisons, so that NaN fails them; an infinite population
-    # fails the sum check.
+    # Conditions that NaN fails; an infinite population fails the sum check.
     checks = (
         (low >= -EPS_PSD, "population %.6g is negative", (low,)),
         (abs(total - 1.0) <= 1e-9, "populations sum to %.12g, expected 1", (total,)),

@@ -49,8 +49,8 @@ from qcorr.relations import (
 from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate, random_xstate_columns
 from qcorr.states import (
     CorrelationVector,
-    bd_to_density,
     _modulus,
+    bd_to_density,
     bd_xstate_columns,
     density_to_bd,
     x_density_columns,

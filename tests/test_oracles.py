@@ -160,17 +160,16 @@ def test_classical_lockstep_matches_single_searches(norm):
 
 
 # a = d = t bounds both coherences by t: boxes over five decades, whose
-# searches stop at different zoom levels; |f| is clamped to the box edge but
-# at t = 0.2
+# searches stop at different zoom levels; the clamped |f| sits on the box
+# edge, except at t = 0.2
 DECADES = [XState(t, 0.5 - t, 0.5 - t, t, 0.9 * t, 0.1 * (0.5 - t)) for t in (0.2, 1e-2, 1e-3, 1e-4, 1e-5)]
 
 
 def test_xfamily_lockstep_matches_single_searches():
     rng = np.random.default_rng(11)
     xs = [random_entangled_xstate(rng) for _ in range(200)]
-    decades = DECADES
     separable = XState(0.5, 0.25, 0.25, 0.0, 0.0, 0.0)  # a d = 0: no search
-    xs = xs[:90] + decades[:3] + [separable] + decades[3:] + xs[90:]
+    xs = xs[:90] + DECADES[:3] + [separable] + DECADES[3:] + xs[90:]
     assert len(xs) > 3 * _BLOCK
     batched = closest_separable_trace_xfamily_many(xs)
     assert list(map(repr, batched)) == [repr(closest_separable_trace_xfamily(x)) for x in xs]
