@@ -139,6 +139,8 @@ def monotone_p_max(kind: ChannelKind) -> float:
 
     The phase-flip factor (1 - 2p)^2 shrinks only up to p = 1/2 and grows back
     afterwards; the other four channels are monotone on all of [0, 1].
+    dynamics.run_trajectory detects events on a grid that holds this point, so
+    that every modulus difference |r_i| - |r_j| is monotone between two rows.
     """
     return 0.5 if kind is ChannelKind.PHASE_FLIP else 1.0
 

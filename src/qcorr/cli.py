@@ -113,7 +113,7 @@ def _fmt_or_none(x) -> str:
 
 
 def _print_events(traj):
-    """Detected events, then the analytic sudden changes that none matched."""
+    """Detected events, then the analytic events that none matched."""
     for e in traj.event_records + traj.unmatched:
         print("%s norm=%s p_detected=%s p_analytic=%s"
               % (e.kind, e.norm.value, _fmt_or_none(e.p_detected), _fmt_or_none(e.p_analytic)))
@@ -155,12 +155,10 @@ def cmd_relate(args) -> int:
     start = extrapolation_start(RelationCase(kind, norm, r0))
     extrapolated = np.where(traj.p[: len(ent)] > start, "true", "false")
     _write_columns(args.out, "E,D,branch,extrapolated", [ent, disc, branch, extrapolated])
-    for e in traj.event_records:
+    for e in traj.event_records + traj.unmatched:  # unmatched: analytic events that no detection matched
         if e.kind == SUDDEN_CHANGE and e.norm is norm:
-            print("kink p=%s" % _fmt(e.p_detected))
-    for e in traj.unmatched:  # analytic sudden changes that no detection matched
-        if e.norm is norm:
-            print("kink p=none p_analytic=%s" % _fmt(e.p_analytic))
+            print("kink p=%s" % _fmt(e.p_detected) if e.p_detected is not None
+                  else "kink p=none p_analytic=%s" % _fmt(e.p_analytic))
     return 0
 
 

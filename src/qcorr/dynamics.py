@@ -2,10 +2,12 @@
 
 A trajectory holds the evolved correlation vectors and all quantifiers on a
 uniform p-grid as columns, one array call per closed form.  Discord sudden
-changes are detected from branch-label switches and refined by bisection on
-the difference of the two competing branch values; entanglement sudden death
-is detected from the sign change of the octahedron margin sum|r_i(p)| - 1,
-which both norms share.
+changes are crossings |r_i(p)| = |r_j(p)| of two correlation moduli, found
+from the sign changes of the three moduli differences and refined by
+bisection; entanglement sudden death is the first downward sign change of the
+octahedron margin sum|r_i(p)| - 1, which both norms share.  Under phase flip
+the decay factor turns at p = 1/2, which is added to the grid as a detection
+row so that no difference can cross and cross back inside one cell.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelKind, decay_factors, evolved_vector
+from .channels import ChannelKind, decay_factors, evolved_vector, monotone_p_max
 from .errors import DegenerateOrdering, EmptyWindow, NonPhysical, NotEntangled, OutOfRange, allocation_guard
 from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
@@ -42,7 +44,7 @@ _TRACE_LABELS = np.array(["r1", "r2", "r3"])
 class EventRecord:
     kind: str  # SUDDEN_CHANGE or SUDDEN_DEATH
     norm: Norm
-    p_detected: float | None  # None: an analytic change that no detection matched
+    p_detected: float | None  # None: an analytic event that no detection matched
     p_analytic: float | None
 
 
@@ -52,8 +54,10 @@ class Trajectory:
 
     r holds the evolved correlation vectors (n x 3); branch_hs holds the HS
     discord labels D1..D3 and branch_tr the trace discord labels r1..r3.
-    unmatched lists, per norm in order of p, the analytic sudden changes in
-    [0, p_max] that no detected event was matched to.
+    unmatched lists, per norm in order of p, the analytic sudden changes and
+    the analytic sudden death in [0, p_max] that no detected event was matched
+    to; with detection from crossings of the moduli it stays empty unless a
+    crossing falls exactly on a detection row.
     """
 
     initial: CorrelationVector
@@ -88,34 +92,8 @@ def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _switches(values, branch, lo: float, hi: float, i: int, j: int) -> list[float]:
-    """Branch switches inside a grid cell whose branch is i at lo and j at hi.
-
-    A switch is bisected on values(x)[j] - values(x)[i] when that difference
-    changes sign over the cell.  The same nonzero sign at both ends means the
-    branch passed through the third one in between: the cell is then split at
-    its midpoint until each part brackets one switch, or is narrower than
-    _REFINE_TOL.  A zero at either end is a tie-break, not a value crossing.
-    """
-
-    def f(x):
-        v = values(x)
-        return v[j] - v[i]
-
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0 or fb == 0.0:
-        return []
-    if (fa > 0.0) != (fb > 0.0):
-        return [_bisect(f, lo, hi)]
-    if hi - lo <= _REFINE_TOL:
-        return []
-    mid = 0.5 * (lo + hi)
-    m = branch(mid)
-    found = []
-    for a, b, ia, ib in ((lo, mid, i, m), (mid, hi, m, j)):
-        if ia != ib:
-            found += _switches(values, branch, a, b, ia, ib)
-    return found
+def _hs_values(v: CorrelationVector) -> tuple:
+    return hs_axis_distances(v.r1, v.r2, v.r3)
 
 
 def _match_analytic(p: float, candidates) -> float | None:
@@ -148,11 +126,17 @@ def run_trajectory(
 ) -> Trajectory:
     """Sample the evolution on a uniform p-grid and detect all events.
 
-    Sudden changes are located by bisecting the difference of the competing
-    branch values on each grid interval where the branch label switches;
-    sudden death by bisecting the octahedron margin.  Each detected event is
-    matched to its analytic prediction when one exists within 1e-6; analytic
-    sudden changes left without a match are listed in unmatched.
+    Events are read off the detection rows: the grid, plus p = 1/2 under phase
+    flip, where its decay factor turns (monotone_p_max).  Between two rows each
+    modulus difference |r_i| - |r_j| is monotone, so a strict sign change
+    brackets its one crossing there.  A crossing is bisected on |r_j| - |r_i|
+    and is a trace sudden change; it is an HS sudden change too when the third
+    modulus lies below the pair, bisected then on D_j - D_i.  A zero at either
+    end of a cell is a tie-break, not a crossing.  Sudden death is the first
+    downward crossing of the octahedron margin on the same rows, bisected.
+    Each detected event is matched to its analytic prediction when one exists
+    within 1e-6; analytic changes and deaths in [0, p_max] left without a
+    detection are listed in unmatched.
     """
     if n_samples < 2:
         raise OutOfRange("n_samples = %d must be at least 2" % n_samples)
@@ -160,8 +144,13 @@ def run_trajectory(
         raise OutOfRange("p_max = %g outside (0, 1]" % p_max)
     with allocation_guard("n_samples = %d" % n_samples):
         p = np.linspace(0.0, p_max, n_samples)
-
-    r = _evolve(channel, r0.as_array()[None], p)[0]
+    # the turning point of the decay factor is a detection row, never a CSV row
+    turn = monotone_p_max(channel)
+    k_turn = int(np.searchsorted(p, turn))
+    extra = turn < p_max and p[k_turn] != turn
+    rows = np.insert(p, k_turn, turn) if extra else p
+    r_rows = _evolve(channel, r0.as_array()[None], rows)[0]
+    r = np.delete(r_rows, k_turn, axis=0) if extra else r_rows
     d_hs, i_hs = hs_discord_columns(*r.T)
     xa, xb, xc, xd, xe, xf = bd_xstate_columns(*r.T)
     concurrence, _ = concurrence_columns(xa, xb, xc, xd, abs(xe), abs(xf))
@@ -178,65 +167,61 @@ def run_trajectory(
         branch_tr=_TRACE_LABELS[i_tr],
     )
 
+    analytic = {}  # (kind, norm) -> the analytic times, read for matching only
     try:
-        death = sudden_death_time(channel, r0)
+        deaths = (sudden_death_time(channel, r0),)
     except NotEntangled:
-        death = None
-    records = traj.event_records
-    for norm, labels, values_of, pick in (
-        (Norm.HS, traj.branch_hs, hs_axis_distances, hs_discord_columns),
-        (Norm.TRACE, traj.branch_tr, lambda *r: tuple(map(abs, r)), trace_discord_columns),
-    ):
+        deaths = ()
+    for norm in Norm:
         try:
-            changes = critical_times(RelationCase(channel, norm, r0)).sudden_changes
+            analytic[SUDDEN_CHANGE, norm] = critical_times(RelationCase(channel, norm, r0)).sudden_changes
         except DegenerateOrdering:
-            changes = ()
+            analytic[SUDDEN_CHANGE, norm] = ()
+        analytic[SUDDEN_DEATH, norm] = deaths
 
-        def values(x):
-            v = evolved_vector(channel, r0, x)
-            return values_of(v.r1, v.r2, v.r3)
+    def detected(kind: str, norm: Norm, x: float) -> EventRecord:
+        return EventRecord(kind, norm, x, _match_analytic(x, analytic[kind, norm]))
 
-        def branch(x):
-            v = evolved_vector(channel, r0, x)
-            return pick(v.r1, v.r2, v.r3)[1]
+    def gap(values, i: int, j: int):
+        """values(v)[j] - values(v)[i] of the evolved vector v, as a function of p."""
 
-        for k in np.flatnonzero(labels[1:] != labels[:-1]):
-            i, j = int(labels[k][1]) - 1, int(labels[k + 1][1]) - 1
-            for p_star in _switches(values, branch, float(p[k]), float(p[k + 1]), i, j):
-                records.append(
-                    EventRecord(
-                        kind=SUDDEN_CHANGE,
-                        norm=norm,
-                        p_detected=p_star,
-                        p_analytic=_match_analytic(p_star, changes),
-                    )
-                )
-        matched = {e.p_analytic for e in records if e.norm is norm}
-        traj.unmatched += [
-            EventRecord(kind=SUDDEN_CHANGE, norm=norm, p_detected=None, p_analytic=c)
-            for c in changes
-            if c <= p_max and c not in matched
-        ]
+        def f(x: float) -> float:
+            w = values(evolved_vector(channel, r0, x))
+            return w[j] - w[i]
+
+        return f
 
     def margin(x: float) -> float:
         v = evolved_vector(channel, r0, x)
         return octahedron_margin(v.r1, v.r2, v.r3)
 
-    margins = octahedron_margin(*r.T)
+    records = traj.event_records
+    s = np.abs(r_rows)
+    sign = np.sign(s[:, [0, 0, 1]] - s[:, [1, 2, 2]])
+    for k, c in zip(*np.nonzero(sign[:-1] * sign[1:] < 0.0)):
+        i, j = (0, 0, 1)[c], (1, 2, 2)[c]
+        lo, hi = float(rows[k]), float(rows[k + 1])
+        p_tr = _bisect(gap(CorrelationVector.abs_triple, i, j), lo, hi)
+        found = [(Norm.TRACE, p_tr)]
+        m = evolved_vector(channel, r0, p_tr).abs_triple()
+        if m[3 - i - j] < min(m[i], m[j]):  # the pair holds the largest modulus
+            found.append((Norm.HS, _bisect(gap(_hs_values, i, j), lo, hi)))
+        records += [detected(SUDDEN_CHANGE, norm, x) for norm, x in found]
+
+    margins = octahedron_margin(*r_rows.T)
     # only the first downward crossing counts as death
     down = np.flatnonzero((margins[:-1] > 0.0) & (margins[1:] <= 0.0))
     if margins[0] > 0.0 and down.size:
         k = down[0]
-        p_star = _bisect(margin, float(p[k]), float(p[k + 1]), tol=1e-12)
-        for norm in (Norm.HS, Norm.TRACE):
-            records.append(
-                EventRecord(
-                    kind=SUDDEN_DEATH,
-                    norm=norm,
-                    p_detected=p_star,
-                    p_analytic=death,
-                )
-            )
+        p_star = _bisect(margin, float(rows[k]), float(rows[k + 1]), tol=1e-12)
+        records += [detected(SUDDEN_DEATH, norm, p_star) for norm in Norm]
+
+    matched = {(e.kind, e.norm, e.p_analytic) for e in records}
+    traj.unmatched = sorted(
+        (EventRecord(kind, norm, None, c) for (kind, norm), times in analytic.items() for c in times
+         if c <= p_max and (kind, norm, c) not in matched),
+        key=lambda e: (e.norm is Norm.TRACE, e.p_analytic),  # HS first, then trace
+    )
 
     records.sort(key=lambda e: (e.p_detected, e.kind, e.norm.value))
     return traj

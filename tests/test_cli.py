@@ -363,23 +363,53 @@ def test_error_exit_codes(error, capsys, monkeypatch):
     assert stderr == "%s: eigensolve failed: did not converge\n" % name
 
 
-def test_simulate_lists_unmatched_sudden_changes(tmp_path, capsys):
-    # three samples (p = 0, 1/2, 1) see none of the four trace sudden changes
+PF3 = ("--channel", "pf", "--state", "0.65,0.59,-0.38", "--samples", "3")
+
+
+def _add_undetectable_events(monkeypatch):
+    """Add an analytic trace sudden change at p = 0.25 and move the analytic
+    death to p = 0.3, where no crossing of the moduli or of the margin lies."""
+    import qcorr.dynamics as dyn
+    from qcorr.quantifiers import Norm
+    from qcorr.relations import CriticalTimes, critical_times
+
+    def with_extra_change(case):
+        extra = (0.25,) if case.norm is Norm.TRACE else ()
+        return CriticalTimes(tuple(sorted(critical_times(case).sudden_changes + extra)), 0.3)
+
+    monkeypatch.setattr(dyn, "critical_times", with_extra_change)
+    monkeypatch.setattr(dyn, "sudden_death_time", lambda channel, r: 0.3)
+
+
+def test_simulate_lists_unmatched_sudden_changes(tmp_path, capsys, monkeypatch):
+    # the rows p = 0, 1/2, 1 bracket all four trace sudden changes
     out = tmp_path / "pf.csv"
-    code, stdout, _ = run(
-        capsys, "simulate", "--channel", "pf", "--state", "0.65,0.59,-0.38",
-        "--samples", "3", "--out", str(out),
-    )
-    assert code == 0
-    unmatched = json.loads((tmp_path / "pf.events.json").read_text())["unmatched"]
-    assert [(e["kind"], e["norm"]) for e in unmatched] == [("SuddenChangeDiscord", "trace")] * 4
+    code, stdout, _ = run(capsys, "simulate", *PF3, "--out", str(out))
+    doc = json.loads((tmp_path / "pf.events.json").read_text())
+    assert code == 0 and "unmatched" not in doc and "p_detected=none" not in stdout
+    trace = [e for e in doc["events"] if e["kind"] == "SuddenChangeDiscord" and e["norm"] == "trace"]
     np.testing.assert_allclose(
-        [e["p_analytic"] for e in unmatched], [0.0987, 0.1177, 0.8823, 0.9013], atol=1e-4
+        [e["p_analytic"] for e in trace], [0.0987, 0.1177, 0.8823, 0.9013], atol=1e-4
     )
+    assert all(abs(e["p_detected"] - e["p_analytic"]) <= 1e-6 for e in trace)
+
+    # analytic events that no detection has are listed, per norm in order of p
+    _add_undetectable_events(monkeypatch)
+    code, stdout, _ = run(capsys, "simulate", *PF3, "--out", str(out))
+    doc = json.loads((tmp_path / "pf.events.json").read_text())
+    assert code == 0
+    assert doc["unmatched"] == [
+        {"kind": "SuddenDeathEntanglement", "norm": "hs", "p_analytic": 0.3},
+        {"kind": "SuddenChangeDiscord", "norm": "trace", "p_analytic": 0.25},
+        {"kind": "SuddenDeathEntanglement", "norm": "trace", "p_analytic": 0.3},
+    ]
+    # the death detected at p = 0.1464 lies too far from 0.3 to be matched to it
+    deaths = [e for e in doc["events"] if e["kind"] == "SuddenDeathEntanglement"]
+    assert len(deaths) == 2 and all(e["p_analytic"] is None for e in deaths)
     listed = [line for line in stdout.splitlines() if "p_detected=none" in line]
     assert listed == [
-        "SuddenChangeDiscord norm=trace p_detected=none p_analytic=%.17g" % e["p_analytic"]
-        for e in unmatched
+        "%s norm=%s p_detected=none p_analytic=%.17g" % (e["kind"], e["norm"], e["p_analytic"])
+        for e in doc["unmatched"]
     ]
 
 
@@ -392,16 +422,32 @@ def test_unmatched_absent_when_every_change_is_detected(tmp_path, capsys):
     assert set(json.loads((tmp_path / "pd.events.json").read_text())) == {"events"}
 
 
-def test_relate_lists_unmatched_sudden_changes(tmp_path, capsys):
-    # the same four trace changes that three samples miss in simulate
-    argv = ("--channel", "pf", "--state", "0.65,0.59,-0.38", "--samples", "3")
-    code, stdout, _ = run(capsys, "relate", *argv, "--norm", "trace", "--out", str(tmp_path / "r.csv"))
+def test_relate_lists_unmatched_sudden_changes(tmp_path, capsys, monkeypatch):
+    from qcorr.channels import ChannelKind
+    from qcorr.quantifiers import Norm
+    from qcorr.relations import RelationCase, critical_times
+
+    # the same four trace changes that three samples detect in simulate
+    relate = ("relate", *PF3, "--norm", "trace", "--out", str(tmp_path / "r.csv"))
+    code, stdout, _ = run(capsys, *relate)
+    analytic = critical_times(RelationCase(ChannelKind.PHASE_FLIP, Norm.TRACE, CorrelationVector(*REF)))
+    assert code == 0 and len(analytic.sudden_changes) == 4
+    kinks = [float(line.split("=")[1]) for line in stdout.splitlines()]
+    np.testing.assert_allclose(kinks, analytic.sudden_changes, rtol=0, atol=1e-6)
+
+    # detection never reads the analytic times; an unmatched change is a
+    # kink p=none, and an unmatched death, which curve lists, is no kink
+    _add_undetectable_events(monkeypatch)
+    detected = stdout
+    code, stdout, _ = run(capsys, *relate)
     assert code == 0
-    _, curve_out, _ = run(capsys, "curve", *argv, "--out", str(tmp_path / "c.csv"))
-    analytic = [line.rsplit("=", 1)[1] for line in curve_out.splitlines()
-                if line.startswith("SuddenChangeDiscord norm=trace p_detected=none")]
-    assert len(analytic) == 4
-    assert stdout.splitlines() == ["kink p=none p_analytic=%s" % a for a in analytic]
+    assert stdout.splitlines() == detected.splitlines() + ["kink p=none p_analytic=0.25"]
+    _, curve_out, _ = run(capsys, "curve", *PF3, "--out", str(tmp_path / "c.csv"))
+    assert [line for line in curve_out.splitlines() if "p_detected=none" in line] == [
+        "SuddenDeathEntanglement norm=hs p_detected=none p_analytic=0.29999999999999999",
+        "SuddenChangeDiscord norm=trace p_detected=none p_analytic=0.25",
+        "SuddenDeathEntanglement norm=trace p_detected=none p_analytic=0.29999999999999999",
+    ]
 
 
 def test_parser_is_reused_without_carrying_values(tmp_path, capsys):

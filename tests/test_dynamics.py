@@ -145,6 +145,11 @@ def test_phase_flip_revival_events():
         (PD, REF, 3),
         # crossings 0.35729 and 0.35782 in [0.357, 0.358], and their mirror images
         (ChannelKind.PHASE_FLIP, (0.2919, 0.2897, 0.0236), 1001),
+        # trace changes 0.0987 and 0.1177 and the death 0.1464 in [0, 1/2]: the
+        # margin is back at its initial value at p = 1, so the rows p = 0, 1
+        # alone bracket no death; the turning point 1/2 does
+        (ChannelKind.PHASE_FLIP, REF, 2),
+        (ChannelKind.PHASE_FLIP, REF, 4),
     ],
 )
 def test_two_switches_in_one_cell_detected(kind, state, n_samples):
@@ -154,35 +159,43 @@ def test_two_switches_in_one_cell_detected(kind, state, n_samples):
     traj = run_trajectory(kind, r0, 1.0, n_samples)
     for norm in Norm:
         detected = sorted(e.p_detected for e in _changes(traj, norm))
-        analytic = critical_times(RelationCase(kind, norm, r0)).sudden_changes
-        assert len(detected) == len(analytic)
-        for d, a in zip(detected, analytic):
+        analytic = critical_times(RelationCase(kind, norm, r0))
+        assert len(detected) == len(analytic.sudden_changes)
+        for d, a in zip(detected, analytic.sudden_changes):
             assert abs(d - a) <= 1e-6
+        deaths = [e.p_detected for e in _deaths(traj, norm)]
+        assert len(deaths) == (analytic.sudden_death is not None)
+        assert all(abs(d - analytic.sudden_death) <= 1e-6 for d in deaths)
+    assert traj.unmatched == [] and len(traj.p) == n_samples
     assert len(_changes(traj, Norm.TRACE)) == (2 if kind is PD else 4)
 
 
 def test_no_analytic_change_dropped_seeded_scan():
-    """Every analytic sudden change is detected or listed as unmatched, and at
-    the default 1001 samples every one is detected."""
-    from qcorr.relations import RelationCase, critical_times
+    """Every analytic sudden change and every analytic death is detected within
+    1e-6 on both norms, at any grid size: the moduli differences are monotone
+    between detection rows, so no crossing hides inside one cell."""
+    from qcorr.errors import NotEntangled
+    from qcorr.relations import RelationCase, critical_times, sudden_death_time
     from qcorr.sampling import random_bd_vector
 
     rng = np.random.default_rng(1)
     states = [random_bd_vector(rng) for _ in range(40)]
-    n_listed = 0
     for r in states:
         for kind in ChannelKind:
-            for n_samples in (3, 11, 51, 1001):
+            try:
+                death = sudden_death_time(kind, r)
+            except NotEntangled:
+                death = None
+            for n_samples in (2, 3, 4, 11, 51, 1001):
                 traj = run_trajectory(kind, r, 1.0, n_samples)
-                if n_samples == 1001:
-                    assert traj.unmatched == []
-                n_listed += len(traj.unmatched)
+                assert traj.unmatched == []
+                assert all(e.p_analytic is not None for e in traj.event_records)
                 for norm in Norm:
                     detected = [e.p_detected for e in _changes(traj, norm)]
-                    listed = [e.p_analytic for e in traj.unmatched if e.norm is norm]
                     for c in critical_times(RelationCase(kind, norm, r)).sudden_changes:
-                        assert c in listed or any(abs(d - c) <= 1e-6 for d in detected)
-    assert n_listed  # coarse grids do miss changes, and the scan sees them listed
+                        assert any(abs(d - c) <= 1e-6 for d in detected)
+                    if death is not None and death <= 1.0:
+                        assert [abs(e.p_detected - death) <= 1e-6 for e in _deaths(traj, norm)] == [True]
 
 
 def test_contractivity_identical_pair():
