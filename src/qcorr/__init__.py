@@ -31,13 +31,14 @@ from .errors import (
 )
 from .oracles import (
     OracleResult,
-    candidate_distances,
     clamped_minimizer,
+    clamped_minimizer_columns,
     closest_classical,
-    closest_classical_many,
+    closest_classical_columns,
     closest_separable_hs,
+    closest_separable_hs_columns,
     closest_separable_trace_xfamily,
-    closest_separable_trace_xfamily_many,
+    closest_separable_trace_xfamily_columns,
     trace_norm,
 )
 from .quantifiers import (

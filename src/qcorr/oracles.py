@@ -11,14 +11,21 @@ finds the minimum of a dense grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .quantifiers import Norm, square
-from .states import SIGMA_PAIR, CorrelationVector, XState, bd_to_density, x_density_columns
+from .states import (
+    SIGMA_PAIR,
+    CorrelationVector,
+    XState,
+    _modulus,
+    _sqrt_clamped,
+    bd_density_columns,
+    x_density_columns,
+)
 
 # points per axis of every search grid, and their indices; each zoom shrinks
 # the half-width to one grid spacing, h / ((_GRID_POINTS - 1) / 2)
@@ -109,25 +116,32 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
 _PAIR_REAL = np.stack([op.real for op in SIGMA_PAIR])
 
 
-def _axis_vector(axis: int, t: float) -> CorrelationVector:
-    r = [0.0, 0.0, 0.0]
-    r[axis] = t
-    return CorrelationVector(*r)
+def _row(*values) -> tuple:
+    """One-row columns of one state's components."""
+    return tuple(np.array([v]) for v in values)
 
 
-def closest_classical_many(rs, norm: Norm) -> list[OracleResult]:
+def _first(make, found) -> OracleResult:
+    """The OracleResult of row 0 of a columns oracle's (minimizer, distance,
+    evaluations); make builds the minimizer from that row's components."""
+    minimizer, distance, evaluations = found
+    return OracleResult(make(*(col[0] for col in minimizer)), float(distance[0]), int(evaluations[0]))
+
+
+def closest_classical_columns(r1, r2, r3, norm: Norm) -> tuple:
     """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t), for
-    each state of rs.
+    each state of the columns r1, r2, r3.
 
     Searches each axis t in [-1, 1] by grid zoom to 1e-8, all states and axes
     in lockstep; ties go to the lowest axis.  HS distances are squared
     Euclidean in r-space; trace distances are eigenvalue sums of the operator
     difference rho(r) - rho(axis state t), diagonalized as real symmetric
-    matrices because Bell-diagonal density matrices are real.
+    matrices because Bell-diagonal density matrices are real.  Returns the
+    minimizer columns, the distances and the evaluations per state.
     """
-    n = len(rs)
+    rv = np.stack([r1, r2, r3], axis=1)
+    n = len(rv)
     if norm is Norm.HS:
-        rv = np.array([r.as_array() for r in rs]).reshape(n, 3)
         sq = square(rv)
         # squared distance of r to axis k, over the other two components
         rest = np.stack([sq[:, 1] + sq[:, 2], sq[:, 0] + sq[:, 2], sq[:, 0] + sq[:, 1]], axis=1)
@@ -137,7 +151,7 @@ def closest_classical_many(rs, norm: Norm) -> list[OracleResult]:
             return (r_axis[active] - t) ** 2 + rest[active]
     else:
         # rho(r) - I/4: the identity parts of the difference cancel
-        base = np.array([bd_to_density(r).real for r in rs]).reshape(n, 4, 4) - np.eye(4) / 4.0
+        base = bd_density_columns(r1, r2, r3).real - np.eye(4) / 4.0
         state, axis = np.divmod(np.arange(3 * n), 3)  # search 3 i + k: state i, axis k
 
         def f(active, t):
@@ -145,82 +159,79 @@ def closest_classical_many(rs, norm: Norm) -> list[OracleResult]:
             return trace_norm(base[state[active], None] - (t / 4.0)[:, :, None, None] * ops)
 
     t, vals, evals = _grid_min(f, np.full(3 * n, -1.0), np.full(3 * n, 1.0), 1, 1e-8)
-    vals, t, evals = vals.reshape(n, 3), t.reshape(n, 3), evals.reshape(n, 3).sum(axis=1)
-    best = vals.argmin(axis=1).tolist()
-    return [
-        OracleResult(_axis_vector(k, float(t[i, k])), float(vals[i, k]), int(evals[i]))
-        for i, k in enumerate(best)
-    ]
+    vals, t = vals.reshape(n, 3), t.reshape(n, 3)
+    rows, best = np.arange(n), vals.argmin(axis=1)
+    minimizer = np.zeros((n, 3))
+    minimizer[rows, best] = t[rows, best]
+    return tuple(minimizer.T), vals[rows, best], evals.reshape(n, 3).sum(axis=1)
 
 
 def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:
-    """closest_classical_many of one state."""
-    return closest_classical_many([r], norm)[0]
+    """closest_classical_columns of one state."""
+    return _first(CorrelationVector, closest_classical_columns(*_row(r.r1, r.r2, r.r3), norm))
 
 
-def _project_l1_ball(s: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a nonnegative vector onto {z >= 0, sum z <= 1}."""
-    if s.sum() <= 1.0:
-        return s.copy()
-    u = np.sort(s)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(s) + 1)
-    valid = u - css / ks > 0
-    k = ks[valid][-1]
-    tau = css[k - 1] / k
-    return np.maximum(s - tau, 0.0)
+def closest_separable_hs_columns(r1, r2, r3) -> tuple:
+    """Closest point of the separable octahedron |z1| + |z2| + |z3| <= 1, for
+    each state of the columns r1, r2, r3.
+
+    Uses the exact Euclidean projection: the absolute triple is projected onto
+    {z >= 0, sum z <= 1} by soft thresholding at the simplex threshold, and
+    the signs are restored; interior points project to themselves with
+    distance 0.  One evaluation per state.
+    """
+    rv = np.stack([r1, r2, r3], axis=1)
+    s = np.abs(rv)
+    u = np.sort(s, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    ks = np.arange(1, 4)
+    # the largest k with u_k > (u_1 + ... + u_k - 1) / k; k = 1 always qualifies
+    k = 3 - (u - css / ks > 0)[:, ::-1].argmax(axis=1)
+    tau = css[np.arange(len(rv)), k - 1] / k
+    z = np.where(s.sum(axis=1, keepdims=True) <= 1.0, s, np.maximum(s - tau[:, None], 0.0))
+    signs = np.sign(rv)
+    signs[signs == 0.0] = 1.0
+    return tuple((signs * z).T), np.sum((s - z) ** 2, axis=1), np.ones(len(rv), dtype=int)
 
 
 def closest_separable_hs(r: CorrelationVector) -> OracleResult:
-    """Closest point of the separable octahedron |z1| + |z2| + |z3| <= 1.
-
-    Uses the exact Euclidean projection (soft-thresholded simplex projection
-    of the absolute triple, signs restored); interior points project to
-    themselves with distance 0.
-    """
-    s = np.abs(r.as_array())
-    z = _project_l1_ball(s)
-    signs = np.sign(r.as_array())
-    signs[signs == 0.0] = 1.0
-    minimizer = CorrelationVector(*(signs * z))
-    dist = float(np.sum((s - z) ** 2))
-    return OracleResult(minimizer=minimizer, distance=dist, evaluations=1)
+    """closest_separable_hs_columns of one state."""
+    return _first(CorrelationVector, closest_separable_hs_columns(*_row(r.r1, r.r2, r.r3)))
 
 
-def _phase(z: complex) -> complex:
-    return z / abs(z) if abs(z) > 0.0 else 1.0 + 0.0j
-
-
-def _with_moduli(x: XState, abs_e: float, abs_f: float) -> XState:
-    """The X state with the populations of x and coherences of moduli abs_e and
-    abs_f, their phases aligned with e and f."""
-    return XState(x.a, x.b, x.c, x.d, _phase(x.e) * abs_e, _phase(x.f) * abs_f)
+def _aligned(z, modulus):
+    """Complex numbers of the given moduli with the phases of z, phase 1 where
+    z = 0; the phase is z.real / |z| + i z.imag / |z|, as Python divides a
+    complex number by its abs."""
+    r = _modulus(z)
+    nonzero = r > 0.0
+    r = np.where(nonzero, r, 1.0)
+    return np.where(nonzero, z.real / r, 1.0) * modulus + 1j * ((z.imag / r) * modulus)
 
 
 # the X shape of an operator difference, as indices into (0, |e| - a, |f| - b)
 _X_TEMPLATE = np.array([[0, 0, 0, 1], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]])
 
 
-def _separability_bound(x: XState) -> float:
+def _separability_bound(a, b, c, d):
     """min(sqrt(ad), sqrt(bc)), the largest coherence modulus of a separable X
-    state with the populations of x."""
-    return min(math.sqrt(max(x.a * x.d, 0.0)), math.sqrt(max(x.b * x.c, 0.0)))
+    state with populations a, b, c, d."""
+    return np.minimum(_sqrt_clamped(a * d), _sqrt_clamped(b * c))
 
 
-def _x_densities(xs) -> np.ndarray:
-    """Stacked density matrices of X states."""
-    return x_density_columns(*np.array([(x.a, x.b, x.c, x.d, x.e, x.f) for x in xs]).T)
+def _with_moduli(x: tuple, abs_e, abs_f) -> tuple:
+    """The X states with the populations of the columns x and coherences of
+    moduli abs_e and abs_f, their phases aligned with e and f; with the trace
+    distance of each to its state of x, from one batched eigensolve of the
+    complex operator differences."""
+    a, b, c, d, e, f = x
+    sigma = (a, b, c, d, _aligned(e, abs_e), _aligned(f, abs_f))
+    return sigma, trace_norm(x_density_columns(*x) - x_density_columns(*sigma))
 
 
-def candidate_distances(xs, sigmas) -> np.ndarray:
-    """Trace distances ||rho_X - sigma_X||_1 of paired X states; one batched
-    eigensolve of the complex operator differences."""
-    return trace_norm(_x_densities(xs) - _x_densities(sigmas))
-
-
-def closest_separable_trace_xfamily_many(xs) -> list[OracleResult]:
-    """Trace-norm closest separable X state with the same populations, for each
-    X state of xs.
+def closest_separable_trace_xfamily_columns(a, b, c, d, e, f) -> tuple:
+    """Trace-norm closest separable X state with the same populations, for
+    each X state of the columns a, b, c, d, e, f.
 
     Grid zoom to 1e-7 over the candidate moduli (|e'|, |f'|) in
     [0, min(sqrt(ad), sqrt(bc))]^2, all states in lockstep; candidate phases
@@ -229,40 +240,42 @@ def closest_separable_trace_xfamily_many(xs) -> list[OracleResult]:
     into a real symmetric matrix with anti-diagonal entries |e| - a and
     |f| - b, leaving eigenvalues unchanged.  States with a zero bound need no
     search.  The reported distance is the trace norm of the full complex
-    difference rho_X - sigma_X.
+    difference rho_X - sigma_X, one more evaluation per state.
     """
-    bound = np.array([_separability_bound(x) for x in xs])
+    bound = _separability_bound(a, b, c, d)
     searched = np.flatnonzero(bound != 0.0)
-    abs_e = np.array([abs(xs[i].e) for i in searched])[:, None]
-    abs_f = np.array([abs(xs[i].f) for i in searched])[:, None]
+    abs_e, abs_f = _modulus(e)[searched, None], _modulus(f)[searched, None]
 
-    def f(active, a, b):
-        entries = np.zeros(a.shape + (3,))
-        np.subtract(abs_e[active], a, out=entries[..., 1])
-        np.subtract(abs_f[active], b, out=entries[..., 2])
+    def search(active, ae, af):
+        entries = np.zeros(ae.shape + (3,))
+        np.subtract(abs_e[active], ae, out=entries[..., 1])
+        np.subtract(abs_f[active], af, out=entries[..., 2])
         return trace_norm(entries[..., _X_TEMPLATE])
 
-    moduli, _, search_evals = _grid_min(f, np.zeros(len(searched)), bound[searched], 2, 1e-7)
-    best = np.zeros((len(xs), 2))
+    moduli, _, search_evals = _grid_min(search, np.zeros(len(searched)), bound[searched], 2, 1e-7)
+    best = np.zeros((len(a), 2))
     best[searched] = moduli
-    evals = np.zeros(len(xs), dtype=int)
-    evals[searched] = search_evals
-
-    cands = [_with_moduli(x, a, b) for x, (a, b) in zip(xs, best.tolist())]
-    dists = candidate_distances(xs, cands).tolist()
-    return [
-        OracleResult(minimizer=c, distance=d, evaluations=n + 1)
-        for c, d, n in zip(cands, dists, evals.tolist())
-    ]
+    evals = np.ones(len(a), dtype=int)
+    evals[searched] += search_evals
+    return (*_with_moduli((a, b, c, d, e, f), *best.T), evals)
 
 
 def closest_separable_trace_xfamily(x: XState) -> OracleResult:
-    """closest_separable_trace_xfamily_many of one X state."""
-    return closest_separable_trace_xfamily_many([x])[0]
+    """closest_separable_trace_xfamily_columns of one X state."""
+    return _first(XState, closest_separable_trace_xfamily_columns(*_row(x.a, x.b, x.c, x.d, x.e, x.f)))
+
+
+def clamped_minimizer_columns(a, b, c, d, e, f) -> tuple:
+    """Analytic minimizer: each coherence kept if feasible, else clamped to the
+    separability bound min(sqrt(ad), sqrt(bc)); phases follow e and f.
+    Returns the minimizer columns, the trace distances and one evaluation per
+    state, like the search oracles."""
+    bound = _separability_bound(a, b, c, d)
+    x = (a, b, c, d, e, f)
+    return (*_with_moduli(x, np.minimum(_modulus(e), bound), np.minimum(_modulus(f), bound)),
+            np.ones(len(a), dtype=int))
 
 
 def clamped_minimizer(x: XState) -> XState:
-    """Analytic minimizer: each coherence kept if feasible, else clamped to the
-    separability bound min(sqrt(ad), sqrt(bc)); phases follow e and f."""
-    m = _separability_bound(x)
-    return _with_moduli(x, min(abs(x.e), m), min(abs(x.f), m))
+    """The minimizer of clamped_minimizer_columns for one X state."""
+    return _first(XState, clamped_minimizer_columns(*_row(x.a, x.b, x.c, x.d, x.e, x.f))).minimizer

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantifiers import concurrence_x
-from .states import CorrelationVector, XState, check_xstate_columns
+from .quantifiers import concurrence_columns
+from .states import CorrelationVector, XState, _modulus, check_xstate_columns
 
 DEFAULT_SEED = 42
 
@@ -78,13 +78,26 @@ def random_xstate(rng: np.random.Generator) -> XState:
     return XState(*_xstate_from_draws(rng.standard_exponential(4), rng.random(4)))
 
 
+def random_entangled_xstate_columns(rng: np.random.Generator, n: int) -> tuple:
+    """Columns of n states of random_xstate_columns whose concurrence exceeds
+    1e-6, in order of drawing.
+
+    Each round draws as many states as acceptances are still missing, so the
+    rounds consume exactly the draws of a loop that draws one state at a time
+    until n are accepted.
+    """
+    columns = random_xstate_columns(rng, 0)
+    while len(columns[0]) < n:
+        drawn = random_xstate_columns(rng, n - len(columns[0]))
+        a, b, c, d, e, f = drawn
+        keep = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))[0] > 1e-6
+        columns = tuple(np.concatenate([col, new[keep]]) for col, new in zip(columns, drawn))
+    return columns
+
+
 def random_entangled_xstate(rng: np.random.Generator) -> XState:
-    """random_xstate drawn until its concurrence exceeds 1e-6."""
-    for _ in range(100000):
-        x = random_xstate(rng)
-        if concurrence_x(x).value > 1e-6:
-            return x
-    raise RuntimeError("rejection sampling failed")  # pragma: no cover
+    """One state of random_entangled_xstate_columns."""
+    return XState(*(col[0] for col in random_entangled_xstate_columns(rng, 1)))
 
 
 def random_bd_pairs(rng: np.random.Generator, n: int) -> list[tuple[CorrelationVector, CorrelationVector]]:

@@ -13,24 +13,22 @@ import json
 import numpy as np
 
 from .oracles import (
-    candidate_distances,
-    clamped_minimizer,
-    closest_classical_many,
-    closest_separable_hs,
-    closest_separable_trace_xfamily_many,
+    clamped_minimizer_columns,
+    closest_classical_columns,
+    closest_separable_hs_columns,
+    closest_separable_trace_xfamily_columns,
 )
 from .quantifiers import (
     Norm,
     concurrence_columns,
-    concurrence_x,
-    hs_discord,
-    hs_entanglement,
-    trace_discord,
+    hs_discord_columns,
+    hs_entanglement_columns,
+    trace_discord_columns,
     wootters_concurrence,
 )
-from .errors import NonPhysical, OutOfRange, allocation_guard
-from .sampling import DEFAULT_SEED, random_entangled_xstate, random_xstate_columns
-from .states import CorrelationVector, XState, _modulus, x_density_columns
+from .errors import OutOfRange, allocation_guard
+from .sampling import DEFAULT_SEED, random_entangled_xstate_columns, random_xstate_columns
+from .states import EPS_PSD, CorrelationVector, XState, _modulus, bell_eigenvalues, x_density_columns
 
 TOLERANCES = {
     "hs_discord_vs_closest_classical": 1e-6,
@@ -42,23 +40,18 @@ TOLERANCES = {
 }
 
 
-def physical_grid(n: int) -> list[CorrelationVector]:
-    """Physical points of the n x n x n lattice on [-1, 1]^3."""
+def physical_grid(n: int) -> np.ndarray:
+    """Physical points of the n x n x n lattice on [-1, 1]^3, one (r1, r2, r3)
+    per row with r3 varying fastest."""
     axis = np.linspace(-1.0, 1.0, n)
-    out = []
-    for r1 in axis:
-        for r2 in axis:
-            for r3 in axis:
-                try:
-                    out.append(CorrelationVector(r1, r2, r3))
-                except NonPhysical:
-                    continue
-    return out
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return lattice[np.min(bell_eigenvalues(*lattice.T), axis=0) >= -EPS_PSD]
 
 
-def _entry(measure, deviations, state_at, evaluations) -> dict:
-    """Report entry for the oracle's deviations from the closed form, one per
-    state; state_at(k) is state k."""
+def _check(measure, distances, closed_form, evaluations: int, state_at) -> dict:
+    """Report entry for the oracle's distances against the closed form's
+    values, one per state; state_at(k) is state k."""
+    deviations = np.abs(distances - closed_form)
     tol = TOLERANCES[measure]
     worst = int(np.argmax(deviations))
     max_dev = float(deviations[worst])
@@ -72,15 +65,14 @@ def _entry(measure, deviations, state_at, evaluations) -> dict:
     }
 
 
-def _check(measure, states, distances, closed_form, evaluations, bump=0.0) -> dict:
-    """Report entry for oracle distances against the closed form's values."""
-    deviations = [abs(d - (closed_form(s).value + bump)) for s, d in zip(states, distances)]
-    return _entry(measure, deviations, states.__getitem__, evaluations)
+def _concurrence(a, b, c, d, e, f):
+    """Closed-form concurrence of the X states of the columns a, b, c, d, e, f."""
+    return concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))[0]
 
 
-def _oracle_check(measure, states, results, closed_form, bump=0.0) -> dict:
-    distances = [res.distance for res in results]
-    return _check(measure, states, distances, closed_form, sum(res.evaluations for res in results), bump)
+def _x_state(columns):
+    """state_at for the X states of columns: XState k."""
+    return lambda k: XState(*(col[k] for col in columns))
 
 
 def run_verification(
@@ -106,32 +98,30 @@ def run_verification(
         with allocation_guard("%s: size %d" % (name, size)):
             np.empty((states, 4, 4), dtype=complex)
     bump = 1e-3 if mutate else 0.0
-    states = physical_grid(grid)
-    checks = [
-        _oracle_check("hs_discord_vs_closest_classical", states,
-                      closest_classical_many(states, Norm.HS), hs_discord, bump),
-        _oracle_check("hs_entanglement_vs_closest_separable", states,
-                      [closest_separable_hs(r) for r in states], hs_entanglement),
-        _oracle_check("trace_discord_vs_closest_classical", states,
-                      closest_classical_many(states, Norm.TRACE), trace_discord),
-    ]
+    r = physical_grid(grid).T
+    checks = []
+    for measure, (_, distances, evals), closed_form in (
+        ("hs_discord_vs_closest_classical", closest_classical_columns(*r, Norm.HS),
+         hs_discord_columns(*r)[0] + bump),
+        ("hs_entanglement_vs_closest_separable", closest_separable_hs_columns(*r), hs_entanglement_columns(*r)),
+        ("trace_discord_vs_closest_classical", closest_classical_columns(*r, Norm.TRACE),
+         trace_discord_columns(*r)[0]),
+    ):
+        checks.append(_check(measure, distances, closed_form, evals.sum(), lambda k: CorrelationVector(*r[:, k])))
 
     rng = np.random.default_rng(seed)
-    xstates = [random_entangled_xstate(rng) for _ in range(n_xstates)]
+    x = random_entangled_xstate_columns(rng, n_xstates)
     if extra_xstate is not None:
-        xstates.append(extra_xstate)
-    checks.append(_oracle_check("xfamily_oracle_vs_concurrence", xstates,
-                                closest_separable_trace_xfamily_many(xstates), concurrence_x))
+        extra = (extra_xstate.a, extra_xstate.b, extra_xstate.c, extra_xstate.d, extra_xstate.e, extra_xstate.f)
+        x = tuple(np.append(col, v) for col, v in zip(x, extra))
+    for measure, oracle in (("xfamily_oracle_vs_concurrence", closest_separable_trace_xfamily_columns),
+                            ("clamped_minimizer_vs_concurrence", clamped_minimizer_columns)):
+        _, distances, evals = oracle(*x)
+        checks.append(_check(measure, distances, _concurrence(*x), evals.sum(), _x_state(x)))
 
-    dists = candidate_distances(xstates, [clamped_minimizer(x) for x in xstates]).tolist()
-    checks.append(_check("clamped_minimizer_vs_concurrence", xstates, dists, concurrence_x, len(xstates)))
-
-    wcols = random_xstate_columns(rng, n_wootters)
-    woot = wootters_concurrence(x_density_columns(*wcols))
-    a, b, c, d, e, f = wcols
-    conc, _ = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))
-    checks.append(_entry("wootters_vs_concurrence_x", np.abs(woot - conc),
-                         lambda k: XState(*(col[k] for col in wcols)), n_wootters))
+    w = random_xstate_columns(rng, n_wootters)
+    checks.append(_check("wootters_vs_concurrence_x", wootters_concurrence(x_density_columns(*w)),
+                         _concurrence(*w), n_wootters, _x_state(w)))
 
     all_pass = all(c["pass"] for c in checks)
     return {"seed": int(seed), "grid": int(grid), "checks": checks, "all_pass": all_pass}

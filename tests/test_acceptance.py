@@ -21,21 +21,16 @@ from qcorr.channels import (
 from qcorr.cli import main
 from qcorr.dynamics import SUDDEN_CHANGE, SUDDEN_DEATH, contractivity_scan, run_trajectory
 from qcorr.oracles import (
-    candidate_distances,
-    clamped_minimizer,
-    closest_classical,
-    closest_separable_hs,
-    closest_separable_trace_xfamily_many,
+    clamped_minimizer_columns,
+    closest_classical_columns,
+    closest_separable_hs_columns,
+    closest_separable_trace_xfamily_columns,
 )
 from qcorr.quantifiers import (
     Norm,
     concurrence_columns,
-    concurrence_x,
-    hs_discord,
     hs_discord_columns,
-    hs_entanglement,
     hs_entanglement_columns,
-    trace_discord,
     trace_discord_columns,
     wootters_concurrence,
 )
@@ -46,7 +41,7 @@ from qcorr.relations import (
     sudden_death_time,
     trace_discord_from_concurrence,
 )
-from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate, random_xstate_columns
+from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate_columns, random_xstate_columns
 from qcorr.states import (
     CorrelationVector,
     _modulus,
@@ -72,40 +67,30 @@ def _report(num, name, ok, detail=""):
 
 
 def test_criterion_01_hs_oracle_equivalence():
-    grid = physical_grid(9)
-    dev_d = max(
-        abs(closest_classical(r, Norm.HS).distance - hs_discord(r).value) for r in grid
-    )
-    dev_e = max(
-        abs(closest_separable_hs(r).distance - hs_entanglement(r).value) for r in grid
-    )
+    r = physical_grid(9).T
+    dev_d = np.abs(closest_classical_columns(*r, Norm.HS)[1] - hs_discord_columns(*r)[0]).max()
+    dev_e = np.abs(closest_separable_hs_columns(*r)[1] - hs_entanglement_columns(*r)).max()
     _report(
         1,
         "hs_oracle_equivalence",
         dev_d <= 1e-6 and dev_e <= 1e-8,
-        "discord_dev=%.3e entanglement_dev=%.3e states=%d" % (dev_d, dev_e, len(grid)),
+        "discord_dev=%.3e entanglement_dev=%.3e states=%d" % (dev_d, dev_e, r.shape[1]),
     )
 
 
 def test_criterion_02_trace_oracle_equivalence():
-    grid = physical_grid(9)
-    dev = max(
-        abs(closest_classical(r, Norm.TRACE).distance - trace_discord(r).value)
-        for r in grid
-    )
+    r = physical_grid(9).T
+    dev = np.abs(closest_classical_columns(*r, Norm.TRACE)[1] - trace_discord_columns(*r)[0]).max()
     _report(2, "trace_oracle_equivalence", dev <= 1e-4, "dev=%.3e" % dev)
 
 
 def test_criterion_03_trace_distance_identity():
     # the stacked searches and trace norms equal the one-state calls bit for bit
     # (tests/test_oracles.py pins both)
-    rng = np.random.default_rng(SEED)
-    xs = [random_entangled_xstate(rng) for _ in range(1000)]
-    c = np.array([concurrence_x(x).value for x in xs])
-    grid = np.array([res.distance for res in closest_separable_trace_xfamily_many(xs)])
-    clamped = candidate_distances(xs, [clamped_minimizer(x) for x in xs])
-    dev_grid = float(np.abs(grid - c).max())
-    dev_clamped = float(np.abs(clamped - c).max())
+    a, b, c, d, e, f = x = random_entangled_xstate_columns(np.random.default_rng(SEED), 1000)
+    conc, _ = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))
+    dev_grid = float(np.abs(closest_separable_trace_xfamily_columns(*x)[1] - conc).max())
+    dev_clamped = float(np.abs(clamped_minimizer_columns(*x)[1] - conc).max())
     _report(
         3,
         "trace_distance_identity",
@@ -123,7 +108,7 @@ def test_criterion_04_concurrence_oracle():
 
 
 def test_criterion_05_channel_agreement():
-    grid = physical_grid(5)
+    grid = [CorrelationVector(*r) for r in physical_grid(5)]
     dev = 0.0
     for kind in ChannelKind:
         for p in np.linspace(0.0, 1.0, 11):

@@ -5,20 +5,31 @@ from hypothesis import given, settings
 from conftest import REF, physical_vectors, xstates
 from qcorr.oracles import (
     _BLOCK,
-    candidate_distances,
+    OracleResult,
     clamped_minimizer,
     closest_classical,
-    closest_classical_many,
+    closest_classical_columns,
     closest_separable_hs,
     closest_separable_trace_xfamily,
-    closest_separable_trace_xfamily_many,
+    closest_separable_trace_xfamily_columns,
     hs_operator_sq,
     trace_norm,
 )
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
-from qcorr.sampling import random_entangled_xstate
+from qcorr.sampling import random_entangled_xstate, random_entangled_xstate_columns
 from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate
 from qcorr.verify import TOLERANCES, physical_grid
+
+
+def _grid_states(n: int) -> list[CorrelationVector]:
+    return [CorrelationVector(*r) for r in physical_grid(n)]
+
+
+def _results(make, found) -> list[OracleResult]:
+    """The OracleResult of every row of a columns oracle's (minimizer, distance, evaluations)."""
+    minimizer, distance, evaluations = found
+    return [OracleResult(make(*(col[k] for col in minimizer)), float(distance[k]), int(evaluations[k]))
+            for k in range(len(distance))]
 
 
 def test_trace_norm_examples():
@@ -61,7 +72,7 @@ def test_closest_separable_hs_examples():
 
 
 def test_closest_separable_hs_minimizer_feasible():
-    for r in physical_grid(7):
+    for r in _grid_states(7):
         res = closest_separable_hs(r)
         assert sum(res.minimizer.abs_triple()) <= 1 + 1e-12
 
@@ -106,7 +117,7 @@ def test_clamped_minimizer_property(x):
 
 def test_oracle_equivalence_small_grid():
     # the full 9x9x9 sweep lives in the acceptance suite
-    for r in physical_grid(5):
+    for r in _grid_states(5):
         np.testing.assert_allclose(
             closest_classical(r, Norm.HS).distance, hs_discord(r).value, atol=1e-6
         )
@@ -153,10 +164,10 @@ def test_xfamily_oracle_property(x):
 
 @pytest.mark.parametrize("norm", list(Norm))
 def test_classical_lockstep_matches_single_searches(norm):
-    states = physical_grid(5)
-    assert 3 * len(states) > 2 * _BLOCK  # the state x axis searches fill several blocks
-    batched = closest_classical_many(states, norm)
-    assert list(map(repr, batched)) == [repr(closest_classical(r, norm)) for r in states]
+    grid = physical_grid(5)
+    assert 3 * len(grid) > 2 * _BLOCK  # the state x axis searches fill several blocks
+    batched = _results(CorrelationVector, closest_classical_columns(*grid.T, norm))
+    assert list(map(repr, batched)) == [repr(closest_classical(r, norm)) for r in _grid_states(5)]
 
 
 # a = d = t bounds both coherences by t: boxes over five decades, whose
@@ -167,11 +178,13 @@ DECADES = [XState(t, 0.5 - t, 0.5 - t, t, 0.9 * t, 0.1 * (0.5 - t)) for t in (0.
 
 def test_xfamily_lockstep_matches_single_searches():
     rng = np.random.default_rng(11)
-    xs = [random_entangled_xstate(rng) for _ in range(200)]
+    drawn = random_entangled_xstate_columns(rng, 200)
+    xs = [XState(*row) for row in zip(*drawn)]
     separable = XState(0.5, 0.25, 0.25, 0.0, 0.0, 0.0)  # a d = 0: no search
     xs = xs[:90] + DECADES[:3] + [separable] + DECADES[3:] + xs[90:]
     assert len(xs) > 3 * _BLOCK
-    batched = closest_separable_trace_xfamily_many(xs)
+    columns = [np.array([getattr(x, k) for x in xs]) for k in "abcdef"]
+    batched = _results(XState, closest_separable_trace_xfamily_columns(*columns))
     assert list(map(repr, batched)) == [repr(closest_separable_trace_xfamily(x)) for x in xs]
     assert batched[93].evaluations == 1 and batched[93].distance == 0.0
     levels = {res.evaluations for res in batched[90:96] if res.evaluations > 1}
@@ -202,7 +215,7 @@ def test_search_evaluations_are_levels_times_grid_points():
 
 def test_zoom_reaches_minima_on_box_edges():
     for x in DECADES:
-        clamped = candidate_distances([x], [clamped_minimizer(x)])[0]
+        clamped = trace_norm(x.to_density() - clamped_minimizer(x).to_density())
         assert abs(closest_separable_trace_xfamily(x).distance - clamped) <= 1e-7
     # at a vertex every axis search has its minimum at t = +-1, an end of its box
     for r in (CorrelationVector(1, -1, 1), CorrelationVector(-1, -1, -1)):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qcorr.errors import NonPhysical
-from qcorr.sampling import random_xstate, random_xstate_columns
+from qcorr.quantifiers import concurrence_x
+from qcorr.sampling import random_entangled_xstate_columns, random_xstate, random_xstate_columns
 from qcorr.states import XState, check_xstate_columns, x_density_columns
 
 
@@ -33,6 +34,22 @@ def test_xstate_columns_equal_single_draws(seed):
     assert stack.shape == (n, 4, 4)
     for k in (0, 1, n - 1):
         assert stack[k].tobytes() == states[k].to_density().tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_entangled_columns_consume_the_draws_of_one_state_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    columns = random_entangled_xstate_columns(rng, 500)
+    after = rng.random()
+    # the reference: draw one state at a time until its concurrence exceeds 1e-6
+    ref = np.random.default_rng(seed)
+    states = []
+    while len(states) < 500:
+        x = random_xstate(ref)
+        if concurrence_x(x).value > 1e-6:
+            states.append(x)
+    assert _rows(columns) == _rows([np.array([getattr(x, k) for x in states]) for k in "abcdef"])
+    assert ref.random() == after
 
 
 def _scalar_message(row) -> str:
