@@ -27,8 +27,7 @@ from .states import (
     x_density_columns,
 )
 
-# points per axis of every search grid, and their indices; each zoom shrinks
-# the half-width to one grid spacing, h / ((_GRID_POINTS - 1) / 2)
+# points per axis of every search grid, and their indices
 _GRID_POINTS = 5
 _STEPS = np.arange(_GRID_POINTS, dtype=float)
 
@@ -66,17 +65,23 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     """Minimize convex functions, search s on the box [lo[s], hi[s]]^dims, by
     grid zoom, all searches in lockstep.
 
-    A search's first grid of _GRID_POINTS points per axis spans its whole box.
-    Each later grid is centred on its best point so far with a half-width of
-    one grid spacing, until that half-width is at most refine_to; searches
-    with smaller boxes stop earlier.  On each grid line through the best
-    point, a convex function's minimum lies within one spacing of that point,
-    so the zoom keeps it inside the next grid.  f(active, *coords) evaluates
-    the searches whose indices are in active, with one (len(active), points)
-    coordinate array per axis, and returns the values in the same shape.
-    Searches run in blocks of _BLOCK, which bounds the size of each level's
-    stack.  Returns the best points (S, dims), their values and the
-    evaluations per search.
+    A search's first grid has _GRID_POINTS = 5 points per axis spanning its
+    whole box.  Each later grid keeps, on each axis, the previous grid's
+    points j0, j0 + 1 and j0 + 2, where j0 = clip(b - 1, 0, 2) and b is the
+    best point's index, and adds the midpoints between them; the new bracket
+    [x_j0, x_j0+2] has half the previous half-width and never leaves the
+    previous grid, so no point is clipped or repeated.  The 3^dims kept points
+    carry their values over, and f is evaluated only at the 5^dims - 3^dims
+    new ones.  Invariant: on each grid line through the best point, the
+    minimum of a convex function over the current bracket lies within one
+    spacing of that point, and the new bracket covers that spacing.  The zoom
+    stops once the half-width is at most refine_to; searches with smaller
+    boxes stop earlier.  f(active, *coords) evaluates the searches whose
+    indices are in active, with one (len(active), points) coordinate array per
+    axis, and returns the values in the same shape.  Searches run in blocks of
+    _BLOCK, which bounds the size of each level's stack.  Returns the best
+    points (S, dims), their values and the evaluations per search,
+    5^dims + (levels - 1) (5^dims - 3^dims).
     """
     n = len(lo)
     best = np.empty((n, dims))
@@ -84,31 +89,43 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     evals = np.empty(n, dtype=int)
     # grid point k of a search sits at index mesh[d, k] of axis d: meshgrid "ij" order
     mesh = np.indices((_GRID_POINTS,) * dims).reshape(dims, -1)
+    kept = np.flatnonzero((mesh % 2 == 0).all(axis=0))  # even on every axis: a previous point
+    new = np.flatnonzero((mesh % 2 == 1).any(axis=0))
+    strides = _GRID_POINTS ** np.arange(dims - 1, -1, -1)  # a point's indices to its position k
+    kept_offset = (mesh[:, kept] // 2).T @ strides  # kept point's position in the previous grid, less j0
     for start in range(0, n, _BLOCK):
         active = np.arange(start, min(start + _BLOCK, n))
-        c = np.repeat(((lo[active] + hi[active]) / 2.0)[:, None], dims, axis=1)
-        h = ((hi[active] - lo[active]) / 2.0)[:, None]
-        lo_a, hi_a = lo[active, None, None], hi[active, None, None]
-        levels = 0
-        while len(active):
-            # the arithmetic of np.linspace(c - h, c + h, _GRID_POINTS) per axis
-            first, last = c - h, c + h
-            axes = _STEPS * ((last - first) / (_GRID_POINTS - 1))[..., None] + first[..., None]
-            axes[..., -1] = last
-            np.clip(axes, lo_a, hi_a, out=axes)
-            vals = f(active, *(axes[:, d, mesh[d]] for d in range(dims)))
-            k = vals.argmin(axis=1)
-            rows = np.arange(len(active))
-            c = axes[rows[:, None], np.arange(dims), mesh[:, k].T]
-            levels += 1
-            h = h / ((_GRID_POINTS - 1) / 2)
-            done = (h <= refine_to)[:, 0]
+        # the arithmetic of np.linspace(lo, hi, _GRID_POINTS) on every axis
+        first, last = lo[active, None], hi[active, None]
+        axis = _STEPS * ((last - first) / (_GRID_POINTS - 1)) + first
+        axis[:, -1] = last[:, 0]
+        axes = np.repeat(axis[:, None], dims, axis=1)  # (searches, dims, points)
+        h = (last[:, 0] - first[:, 0]) / 2.0
+        vals = f(active, *(axes[:, d, mesh[d]] for d in range(dims)))
+        levels = 1
+        while True:
+            at = mesh[:, vals.argmin(axis=1)].T  # the best point's index on each axis
+            h = h / 2.0
+            done = h <= refine_to
             if done.any():
                 finished = active[done]
-                best[finished], value[finished] = c[done], vals[rows[done], k[done]]
-                evals[finished] = levels * vals.shape[1]
+                best[finished] = np.take_along_axis(axes[done], at[done, :, None], axis=2)[..., 0]
+                value[finished] = vals[done].min(axis=1)
+                evals[finished] = len(mesh[0]) + (levels - 1) * len(new)
                 keep = ~done
-                active, c, h, lo_a, hi_a = active[keep], c[keep], h[keep], lo_a[keep], hi_a[keep]
+                active, axes, vals, at, h = active[keep], axes[keep], vals[keep], at[keep], h[keep]
+                if not len(active):
+                    break
+            j0 = np.clip(at - 1, 0, 2)
+            bracket = np.take_along_axis(axes, j0[:, :, None] + np.arange(3), axis=2)
+            axes = np.empty_like(axes)
+            axes[..., ::2] = bracket
+            axes[..., 1::2] = 0.5 * (bracket[..., :-1] + bracket[..., 1:])
+            carried = np.take_along_axis(vals, (j0 @ strides)[:, None] + kept_offset, axis=1)
+            vals = np.empty_like(vals)
+            vals[:, kept] = carried
+            vals[:, new] = f(active, *(axes[:, d, mesh[d, new]] for d in range(dims)))
+            levels += 1
     return best, value, evals
 
 

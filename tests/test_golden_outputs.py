@@ -132,7 +132,7 @@ def test_golden_relation_inverses():
 # evaluation counts of the oracles included.
 VERIFY_SIZES = ("--grid", "5", "--xstates", "50", "--wootters", "500")
 VERIFY_XSTATE = XState(0.3, 0.2, 0.1, 0.4, 0.2 + 0.1j, 0.05j)
-VERIFY = "9f1346ac3cc4a11f693264c48dd8c2ca5b6f43bb962861371fcee491dc93a671"
+VERIFY = "72821d3512244e44a4b3e460947308d6571a4a4f9ab5d043fd8143f5aa51f937"
 
 
 def test_golden_verify_reports(tmp_path, capsys):

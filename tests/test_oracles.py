@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from conftest import REF, physical_vectors, xstates
 from qcorr.oracles import (
     _BLOCK,
+    _grid_min,
     OracleResult,
     clamped_minimizer,
     closest_classical,
@@ -54,12 +55,13 @@ def test_closest_classical_examples():
 
     res = closest_classical(CorrelationVector(*REF), Norm.HS)
     np.testing.assert_allclose(res.distance, 0.4925, atol=1e-6)
-    # per axis: 27 levels of 5 points, the half-width halving from 1 to 2**-27 <= 1e-8
-    assert res.evaluations == 3 * 27 * 5
+    # per axis: 27 levels, the half-width halving from 1 to 2**-27 <= 1e-8; the
+    # first evaluates 5 points, each later one the 2 midpoints it adds
+    assert res.evaluations == 3 * (5 + 26 * 2)
 
     res = closest_classical(CorrelationVector(*REF), Norm.TRACE)
     np.testing.assert_allclose(res.distance, 0.59, atol=1e-4)
-    assert res.evaluations == 3 * 27 * 5
+    assert res.evaluations == 3 * (5 + 26 * 2)
 
 
 def test_closest_separable_hs_examples():
@@ -201,16 +203,78 @@ def _levels(half_width: float, refine_to: float) -> int:
             return levels
 
 
+def _evaluations(levels: int, dims: int) -> int:
+    """The first grid's 5^dims points, then the 5^dims - 3^dims new points of each later level."""
+    return 5**dims + (levels - 1) * (5**dims - 3**dims)
+
+
 def test_search_evaluations_are_levels_times_grid_points():
     for r in (CorrelationVector(*REF), CorrelationVector(0.3, 0.0, 0.0), CorrelationVector(1, -1, 1)):
         for norm in Norm:
             # one search per axis over [-1, 1], to 1e-8
-            assert closest_classical(r, norm).evaluations == 3 * _levels(1.0, 1e-8) * 5
+            assert closest_classical(r, norm).evaluations == 3 * _evaluations(_levels(1.0, 1e-8), 1)
     rng = np.random.default_rng(3)
     for x in DECADES + [random_entangled_xstate(rng) for _ in range(20)]:
         bound = min(np.sqrt(x.a * x.d), np.sqrt(x.b * x.c))
         # one search over [0, bound]^2 to 1e-7, and the distance of its minimizer
-        assert closest_separable_trace_xfamily(x).evaluations == _levels(bound / 2.0, 1e-7) * 5**2 + 1
+        expected = _evaluations(_levels(bound / 2.0, 1e-7), 2) + 1
+        assert closest_separable_trace_xfamily(x).evaluations == expected
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_zoom_never_evaluates_a_point_twice(dims):
+    # boxes over several decades, minima inside, on edges and on corners
+    lo = np.array([-1.0, 0.0, 0.0, 0.0, -3.0, 0.0] * 15)
+    hi = np.array([1.0, 1e-3, 0.5, 2.0, -1.0, 1e-5] * 15)
+    target = np.random.default_rng(1).uniform(-4.0, 3.0, size=(len(lo), dims))
+    seen = [set() for _ in lo]
+    for k in range(len(lo)):
+        target[k, : k % (dims + 1)] = (lo[k], hi[k])[k % 2]
+
+    def f(active, *coords):
+        for row, s in enumerate(active):
+            for point in zip(*(c[row] for c in coords)):
+                assert point not in seen[s]
+                seen[s].add(point)
+        return sum(np.abs(c - target[active, d, None]) for d, c in enumerate(coords))
+
+    _, _, evals = _grid_min(f, lo, hi, dims, 1e-9)
+    assert [len(points) for points in seen] == evals.tolist()
+    assert len(lo) > _BLOCK
+
+
+def _dense_min(f, lo: float, hi: float, dims: int, points: int) -> float:
+    axis = np.linspace(lo, hi, points)
+    coords = np.meshgrid(*([axis] * dims), indexing="ij")
+    return float(f(np.array([0]), *(c.ravel()[None] for c in coords)).min())
+
+
+# convex functions of one point per search, with a Lipschitz constant L in the
+# max-norm on [-1, 1]^dims: |f(x) - f(y)| <= L max_d |x_d - y_d|
+CONVEX = [
+    (1, lambda t: np.abs(t - 0.3141), 1.0),
+    (1, lambda t: np.abs(t - 1.7), 1.0),  # minimum on the box edge t = 1
+    (1, lambda t: np.maximum(np.abs(t) - 0.3, 0.0), 1.0),  # flat on [-0.3, 0.3]
+    (1, lambda t: (t + 0.61) ** 2, 2 * 1.61),
+    (2, lambda a, b: np.abs(a - 0.2) + 3.0 * np.abs(b + 0.77), 4.0),
+    (2, lambda a, b: np.abs(a + 2.0) + np.abs(b - 0.123), 2.0),  # minimum on the edge a = -1
+    (2, lambda a, b: np.abs(a - 5.0) + np.abs(b + 5.0), 2.0),  # minimum on the corner (1, -1)
+    (2, lambda a, b: (a - 0.37) ** 2 + (b - 0.5) ** 2, 2 * 1.37 + 2 * 1.5),
+    (2, lambda a, b: np.maximum(np.abs(a) + np.abs(b) - 0.5, 0.0), 2.0),  # flat on a diamond
+]
+
+
+@pytest.mark.parametrize("dims, g, lipschitz", CONVEX)
+@pytest.mark.parametrize("refine_to", [1e-2, 1e-4])
+def test_zoom_finds_the_minimum_of_convex_functions(dims, g, lipschitz, refine_to):
+    def f(active, *coords):
+        return g(*coords)
+
+    _, value, _ = _grid_min(f, np.array([-1.0]), np.array([1.0]), dims, refine_to)
+    points = 2001 if dims == 1 else 401
+    dense = _dense_min(f, -1.0, 1.0, dims, points)
+    # the dense grid's minimum lies within L spacing / 2 above the true minimum
+    assert dense - lipschitz * (1.0 / (points - 1)) <= value[0] <= dense + lipschitz * refine_to
 
 
 def test_zoom_reaches_minima_on_box_edges():
