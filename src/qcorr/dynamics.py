@@ -22,7 +22,6 @@ from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
     Norm,
     concurrence_columns,
-    hs_axis_distances,
     hs_discord_columns,
     hs_entanglement_columns,
     octahedron_margin,
@@ -92,10 +91,6 @@ def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _hs_values(v: CorrelationVector) -> tuple:
-    return hs_axis_distances(v.r1, v.r2, v.r3)
-
-
 def _match_analytic(p: float, candidates) -> float | None:
     best = None
     for c in candidates:
@@ -130,9 +125,11 @@ def run_trajectory(
     flip, where its decay factor turns (monotone_p_max).  Between two rows each
     modulus difference |r_i| - |r_j| is monotone, so a strict sign change
     brackets its one crossing there.  A crossing is bisected on |r_j| - |r_i|
-    and is a trace sudden change; it is an HS sudden change too when the third
-    modulus lies below the pair, bisected then on D_j - D_i.  A zero at either
-    end of a cell is a tie-break, not a crossing.  Sudden death is the first
+    and is a trace sudden change; it is an HS sudden change at the same p* when
+    the third modulus lies below the pair, since D_j - D_i = r_i^2 - r_j^2 has
+    the sign of |r_i| - |r_j| at every p, so the HS branch values cross there
+    too.  A zero at either end of a cell is a tie-break, not a
+    crossing.  Sudden death is the first
     downward crossing of the octahedron margin on the same rows, bisected.
     Each detected event is matched to its analytic prediction when one exists
     within 1e-6; analytic changes and deaths in [0, p_max] left without a
@@ -182,11 +179,11 @@ def run_trajectory(
     def detected(kind: str, norm: Norm, x: float) -> EventRecord:
         return EventRecord(kind, norm, x, _match_analytic(x, analytic[kind, norm]))
 
-    def gap(values, i: int, j: int):
-        """values(v)[j] - values(v)[i] of the evolved vector v, as a function of p."""
+    def gap(i: int, j: int):
+        """|r_j| - |r_i| of the evolved vector, as a function of p."""
 
         def f(x: float) -> float:
-            w = values(evolved_vector(channel, r0, x))
+            w = evolved_vector(channel, r0, x).abs_triple()
             return w[j] - w[i]
 
         return f
@@ -201,12 +198,11 @@ def run_trajectory(
     for k, c in zip(*np.nonzero(sign[:-1] * sign[1:] < 0.0)):
         i, j = (0, 0, 1)[c], (1, 2, 2)[c]
         lo, hi = float(rows[k]), float(rows[k + 1])
-        p_tr = _bisect(gap(CorrelationVector.abs_triple, i, j), lo, hi)
-        found = [(Norm.TRACE, p_tr)]
-        m = evolved_vector(channel, r0, p_tr).abs_triple()
-        if m[3 - i - j] < min(m[i], m[j]):  # the pair holds the largest modulus
-            found.append((Norm.HS, _bisect(gap(_hs_values, i, j), lo, hi)))
-        records += [detected(SUDDEN_CHANGE, norm, x) for norm, x in found]
+        p_star = _bisect(gap(i, j), lo, hi)
+        m = evolved_vector(channel, r0, p_star).abs_triple()
+        # an HS change too when the pair holds the largest modulus
+        norms = Norm if m[3 - i - j] < min(m[i], m[j]) else (Norm.TRACE,)
+        records += [detected(SUDDEN_CHANGE, norm, p_star) for norm in norms]
 
     margins = octahedron_margin(*r_rows.T)
     # only the first downward crossing counts as death

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .states import SIGMA_2, CorrelationVector, XState, _sqrt_clamped, _where, validate_density
+from .states import SIGMA_2, CorrelationVector, XState, _checked_spectrum, _sqrt_clamped, _where
 
 
 class Norm(enum.Enum):
@@ -144,9 +144,9 @@ def wootters_concurrence(rho: np.ndarray):
     if rho.ndim == 3 and len(rho) > _STACK_BLOCK:
         blocks = range(0, len(rho), _STACK_BLOCK)
         return np.concatenate([wootters_concurrence(rho[i : i + _STACK_BLOCK]) for i in blocks])
-    rho = validate_density(rho)
     try:
-        w, v = np.linalg.eigh(rho)
+        rho, (w, v) = _checked_spectrum(rho, np.linalg.eigh)  # validate_density's checks
+        w, v = w.reshape(rho.shape[:-1]), v.reshape(rho.shape)
         sqrt_rho = (v * np.sqrt(np.where(w > 0.0, w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
         lams = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)
     except np.linalg.LinAlgError as exc:

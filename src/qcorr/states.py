@@ -210,13 +210,10 @@ def _leading(flags: np.ndarray) -> int:
     return k if len(flags) and not flags[k] else len(flags)
 
 
-def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
-    of each matrix of an (N, 4, 4) stack.
-
-    A stack raises for its first failing matrix, with the message that matrix
-    raises on its own; the eigenvalues are computed in one batched eigensolve.
-    """
+def _checked_spectrum(rho: np.ndarray, solve) -> tuple:
+    """validate_density's checks, reading positivity from the eigenvalues that
+    solve(stack) returns first (ascending, one row per matrix); returns the
+    matrix or stack and solve's result for the (N, 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise NonPhysical("expected a 4x4 matrix or a stack of them, got shape %s" % (rho.shape,))
@@ -226,7 +223,8 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     # NaN propagates through the maximum and fails the comparison
     n = _leading(np.maximum(asym, np.abs(tr - 1.0)) <= 1e-12)
     # the matrices before the first that fails those checks must be positive
-    lmin = np.linalg.eigvalsh(stack[:n])[:, 0]
+    spectrum = solve(stack[:n])
+    lmin = spectrum[0][:, 0]
     k = _leading(lmin >= -EPS_PSD)
     if k < n:
         raise NonPhysical("eigenvalue %.6g is negative" % lmin[k])
@@ -234,7 +232,17 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
         if not asym[n] <= 1e-12:
             raise NonPhysical("matrix is not Hermitian within 1e-12")
         raise NonPhysical("trace is %.15g, expected 1" % tr[n])
-    return rho
+    return rho, spectrum
+
+
+def validate_density(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
+    of each matrix of an (N, 4, 4) stack.
+
+    A stack raises for its first failing matrix, with the message that matrix
+    raises on its own; the eigenvalues are computed in one batched eigensolve.
+    """
+    return _checked_spectrum(rho, lambda stack: (np.linalg.eigvalsh(stack),))[0]
 
 
 def bd_density_columns(r1, r2, r3) -> np.ndarray:

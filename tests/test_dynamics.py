@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -170,32 +172,54 @@ def test_two_switches_in_one_cell_detected(kind, state, n_samples):
     assert len(_changes(traj, Norm.TRACE)) == (2 if kind is PD else 4)
 
 
-def test_no_analytic_change_dropped_seeded_scan():
-    """Every analytic sudden change and every analytic death is detected within
-    1e-6 on both norms, at any grid size: the moduli differences are monotone
-    between detection rows, so no crossing hides inside one cell."""
+@functools.cache
+def _seeded_scan() -> list:
+    """(state, channel, analytic death or None, trajectory) over 40 seeded
+    states, every channel and 2 to 1001 samples."""
     from qcorr.errors import NotEntangled
-    from qcorr.relations import RelationCase, critical_times, sudden_death_time
+    from qcorr.relations import sudden_death_time
     from qcorr.sampling import random_bd_vector
 
     rng = np.random.default_rng(1)
-    states = [random_bd_vector(rng) for _ in range(40)]
-    for r in states:
+    scan = []
+    for r in [random_bd_vector(rng) for _ in range(40)]:
         for kind in ChannelKind:
             try:
                 death = sudden_death_time(kind, r)
             except NotEntangled:
                 death = None
             for n_samples in (2, 3, 4, 11, 51, 1001):
-                traj = run_trajectory(kind, r, 1.0, n_samples)
-                assert traj.unmatched == []
-                assert all(e.p_analytic is not None for e in traj.event_records)
-                for norm in Norm:
-                    detected = [e.p_detected for e in _changes(traj, norm)]
-                    for c in critical_times(RelationCase(kind, norm, r)).sudden_changes:
-                        assert any(abs(d - c) <= 1e-6 for d in detected)
-                    if death is not None and death <= 1.0:
-                        assert [abs(e.p_detected - death) <= 1e-6 for e in _deaths(traj, norm)] == [True]
+                scan.append((r, kind, death, run_trajectory(kind, r, 1.0, n_samples)))
+    return scan
+
+
+def test_no_analytic_change_dropped_seeded_scan():
+    """Every analytic sudden change and every analytic death is detected within
+    1e-6 on both norms, at any grid size: the moduli differences are monotone
+    between detection rows, so no crossing hides inside one cell."""
+    from qcorr.relations import RelationCase, critical_times
+
+    for r, kind, death, traj in _seeded_scan():
+        assert traj.unmatched == []
+        assert all(e.p_analytic is not None for e in traj.event_records)
+        for norm in Norm:
+            detected = [e.p_detected for e in _changes(traj, norm)]
+            for c in critical_times(RelationCase(kind, norm, r)).sudden_changes:
+                assert any(abs(d - c) <= 1e-6 for d in detected)
+            if death is not None and death <= 1.0:
+                assert [abs(e.p_detected - death) <= 1e-6 for e in _deaths(traj, norm)] == [True]
+
+
+def test_hs_changes_sit_on_trace_changes_seeded_scan():
+    """An HS sudden change is a crossing of the two largest moduli, so its
+    p_detected is the trace change's, bit for bit."""
+    hs_changes = 0
+    for _, _, _, traj in _seeded_scan():
+        trace = {e.p_detected for e in _changes(traj, Norm.TRACE)}
+        hs = [e.p_detected for e in _changes(traj, Norm.HS)]
+        assert set(hs) <= trace
+        hs_changes += len(hs)
+    assert hs_changes > 100
 
 
 def test_contractivity_identical_pair():

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from conftest import REF, physical_vectors
 from qcorr.errors import NonPhysical
+from qcorr.quantifiers import wootters_concurrence
 from qcorr.states import (
     CorrelationVector,
     RegionLabel,
@@ -61,9 +62,9 @@ def _stack_with(bad: dict) -> np.ndarray:
     return np.array(stack)
 
 
-def _message(rho) -> str:
+def _message(rho, check=validate_density) -> str:
     with pytest.raises(NonPhysical) as info:
-        validate_density(rho)
+        check(rho)
     return str(info.value)
 
 
@@ -78,6 +79,22 @@ def test_validate_density_stack_reports_its_failing_matrix(bad):
 )
 def test_validate_density_stack_reports_first_failing_matrix(first, later):
     assert _message(_stack_with({1: first, 4: later})) == _message(first)
+
+
+@pytest.mark.parametrize(
+    "first, later, text",
+    [
+        (_NEGATIVE, _NAN, "eigenvalue -0.2 is negative"),
+        (_NAN, _NEGATIVE, "matrix is not Hermitian within 1e-12"),
+        (_NON_HERMITIAN, _TRACE, "matrix is not Hermitian within 1e-12"),
+        (_TRACE, _NEGATIVE, "trace is 1.1, expected 1"),
+    ],
+)
+def test_wootters_stack_raises_the_validate_density_message(first, later, text):
+    # wootters_concurrence reads positivity from its own eigh spectrum
+    stack = _stack_with({1: first, 4: later})
+    assert _message(stack, wootters_concurrence) == _message(stack) == _message(first) == text
+    assert _message(first, wootters_concurrence) == text
 
 
 def test_validate_density_accepts_a_valid_stack():
