@@ -149,8 +149,7 @@ def run_trajectory(
     r_rows = _evolve(channel, r0.as_array()[None], rows)[0]
     r = np.delete(r_rows, k_turn, axis=0) if extra else r_rows
     d_hs, i_hs = hs_discord_columns(*r.T)
-    xa, xb, xc, xd, xe, xf = bd_xstate_columns(*r.T)
-    concurrence, _ = concurrence_columns(xa, xb, xc, xd, abs(xe), abs(xf))
+    concurrence, _ = concurrence_columns(*bd_xstate_columns(*r.T))
     d_tr, i_tr = trace_discord_columns(*r.T)
     traj = Trajectory(
         initial=r0,
@@ -179,15 +178,6 @@ def run_trajectory(
     def detected(kind: str, norm: Norm, x: float) -> EventRecord:
         return EventRecord(kind, norm, x, _match_analytic(x, analytic[kind, norm]))
 
-    def gap(i: int, j: int):
-        """|r_j| - |r_i| of the evolved vector, as a function of p."""
-
-        def f(x: float) -> float:
-            w = evolved_vector(channel, r0, x).abs_triple()
-            return w[j] - w[i]
-
-        return f
-
     def margin(x: float) -> float:
         v = evolved_vector(channel, r0, x)
         return octahedron_margin(v.r1, v.r2, v.r3)
@@ -197,8 +187,12 @@ def run_trajectory(
     sign = np.sign(s[:, [0, 0, 1]] - s[:, [1, 2, 2]])
     for k, c in zip(*np.nonzero(sign[:-1] * sign[1:] < 0.0)):
         i, j = (0, 0, 1)[c], (1, 2, 2)[c]
-        lo, hi = float(rows[k]), float(rows[k + 1])
-        p_star = _bisect(gap(i, j), lo, hi)
+
+        def gap(x: float, i=i, j=j) -> float:
+            w = evolved_vector(channel, r0, x).abs_triple()
+            return w[j] - w[i]
+
+        p_star = _bisect(gap, float(rows[k]), float(rows[k + 1]))
         m = evolved_vector(channel, r0, p_star).abs_triple()
         # an HS change too when the pair holds the largest modulus
         norms = Norm if m[3 - i - j] < min(m[i], m[j]) else (Norm.TRACE,)

@@ -27,9 +27,8 @@ from .states import (
     x_density_columns,
 )
 
-# points per axis of every search grid, and their indices
+# points per axis of every search grid
 _GRID_POINTS = 5
-_STEPS = np.arange(_GRID_POINTS, dtype=float)
 
 # searches advanced together by _grid_min: bounds each level's stack of points
 _BLOCK = 64
@@ -84,9 +83,7 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     5^dims + (levels - 1) (5^dims - 3^dims).
     """
     n = len(lo)
-    best = np.empty((n, dims))
-    value = np.empty(n)
-    evals = np.empty(n, dtype=int)
+    best, value, evals = np.empty((n, dims)), np.empty(n), np.empty(n, dtype=int)
     # grid point k of a search sits at index mesh[d, k] of axis d: meshgrid "ij" order
     mesh = np.indices((_GRID_POINTS,) * dims).reshape(dims, -1)
     kept = np.flatnonzero((mesh % 2 == 0).all(axis=0))  # even on every axis: a previous point
@@ -97,7 +94,7 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
         active = np.arange(start, min(start + _BLOCK, n))
         # the arithmetic of np.linspace(lo, hi, _GRID_POINTS) on every axis
         first, last = lo[active, None], hi[active, None]
-        axis = _STEPS * ((last - first) / (_GRID_POINTS - 1)) + first
+        axis = np.arange(_GRID_POINTS) * ((last - first) / (_GRID_POINTS - 1)) + first
         axis[:, -1] = last[:, 0]
         axes = np.repeat(axis[:, None], dims, axis=1)  # (searches, dims, points)
         h = (last[:, 0] - first[:, 0]) / 2.0
@@ -112,8 +109,7 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
                 best[finished] = np.take_along_axis(axes[done], at[done, :, None], axis=2)[..., 0]
                 value[finished] = vals[done].min(axis=1)
                 evals[finished] = len(mesh[0]) + (levels - 1) * len(new)
-                keep = ~done
-                active, axes, vals, at, h = active[keep], axes[keep], vals[keep], at[keep], h[keep]
+                active, axes, vals, at, h = (v[~done] for v in (active, axes, vals, at, h))
                 if not len(active):
                     break
             j0 = np.clip(at - 1, 0, 2)
@@ -133,15 +129,10 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
 _PAIR_REAL = np.stack([op.real for op in SIGMA_PAIR])
 
 
-def _row(*values) -> tuple:
-    """One-row columns of one state's components."""
-    return tuple(np.array([v]) for v in values)
-
-
-def _first(make, found) -> OracleResult:
-    """The OracleResult of row 0 of a columns oracle's (minimizer, distance,
-    evaluations); make builds the minimizer from that row's components."""
-    minimizer, distance, evaluations = found
+def _one(oracle, make, components, *args) -> OracleResult:
+    """A columns oracle's (minimizer, distance, evaluations) for one state with
+    the given components, as an OracleResult; make builds the minimizer."""
+    minimizer, distance, evaluations = oracle(*(np.array([v]) for v in components), *args)
     return OracleResult(make(*(col[0] for col in minimizer)), float(distance[0]), int(evaluations[0]))
 
 
@@ -185,7 +176,7 @@ def closest_classical_columns(r1, r2, r3, norm: Norm) -> tuple:
 
 def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:
     """closest_classical_columns of one state."""
-    return _first(CorrelationVector, closest_classical_columns(*_row(r.r1, r.r2, r.r3), norm))
+    return _one(closest_classical_columns, CorrelationVector, (r.r1, r.r2, r.r3), norm)
 
 
 def closest_separable_hs_columns(r1, r2, r3) -> tuple:
@@ -201,19 +192,16 @@ def closest_separable_hs_columns(r1, r2, r3) -> tuple:
     s = np.abs(rv)
     u = np.sort(s, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, 4)
     # the largest k with u_k > (u_1 + ... + u_k - 1) / k; k = 1 always qualifies
-    k = 3 - (u - css / ks > 0)[:, ::-1].argmax(axis=1)
+    k = 3 - (u - css / np.arange(1, 4) > 0)[:, ::-1].argmax(axis=1)
     tau = css[np.arange(len(rv)), k - 1] / k
     z = np.where(s.sum(axis=1, keepdims=True) <= 1.0, s, np.maximum(s - tau[:, None], 0.0))
-    signs = np.sign(rv)
-    signs[signs == 0.0] = 1.0
-    return tuple((signs * z).T), np.sum((s - z) ** 2, axis=1), np.ones(len(rv), dtype=int)
+    return tuple((np.sign(rv) * z).T), np.sum((s - z) ** 2, axis=1), np.ones(len(rv), dtype=int)
 
 
 def closest_separable_hs(r: CorrelationVector) -> OracleResult:
     """closest_separable_hs_columns of one state."""
-    return _first(CorrelationVector, closest_separable_hs_columns(*_row(r.r1, r.r2, r.r3)))
+    return _one(closest_separable_hs_columns, CorrelationVector, (r.r1, r.r2, r.r3))
 
 
 def _aligned(z, modulus):
@@ -279,7 +267,7 @@ def closest_separable_trace_xfamily_columns(a, b, c, d, e, f) -> tuple:
 
 def closest_separable_trace_xfamily(x: XState) -> OracleResult:
     """closest_separable_trace_xfamily_columns of one X state."""
-    return _first(XState, closest_separable_trace_xfamily_columns(*_row(x.a, x.b, x.c, x.d, x.e, x.f)))
+    return _one(closest_separable_trace_xfamily_columns, XState, (x.a, x.b, x.c, x.d, x.e, x.f))
 
 
 def clamped_minimizer_columns(a, b, c, d, e, f) -> tuple:
@@ -288,11 +276,10 @@ def clamped_minimizer_columns(a, b, c, d, e, f) -> tuple:
     Returns the minimizer columns, the trace distances and one evaluation per
     state, like the search oracles."""
     bound = _separability_bound(a, b, c, d)
-    x = (a, b, c, d, e, f)
-    return (*_with_moduli(x, np.minimum(_modulus(e), bound), np.minimum(_modulus(f), bound)),
+    return (*_with_moduli((a, b, c, d, e, f), np.minimum(_modulus(e), bound), np.minimum(_modulus(f), bound)),
             np.ones(len(a), dtype=int))
 
 
 def clamped_minimizer(x: XState) -> XState:
     """The minimizer of clamped_minimizer_columns for one X state."""
-    return _first(XState, clamped_minimizer_columns(*_row(x.a, x.b, x.c, x.d, x.e, x.f))).minimizer
+    return _one(clamped_minimizer_columns, XState, (x.a, x.b, x.c, x.d, x.e, x.f)).minimizer

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .states import SIGMA_2, CorrelationVector, XState, _checked_spectrum, _sqrt_clamped, _where
+from .states import SIGMA_2, CorrelationVector, XState, _checked_spectrum, _modulus, _sqrt_clamped, _where
 
 
 class Norm(enum.Enum):
@@ -86,15 +86,15 @@ def trace_discord_columns(r1, r2, r3) -> tuple:
     return _pick((s2 < s1) != (s3 < s1), (s1 <= s2) != (s3 < s2), (s1, s2, s3))
 
 
-def concurrence_columns(a, b, c, d, abs_e, abs_f) -> tuple:
+def concurrence_columns(a, b, c, d, e, f) -> tuple:
     """X-state concurrence 2 max{0, |e| - sqrt(bc), |f| - sqrt(ad)} and its branch.
 
-    Takes the populations and the coherence moduli.  The branch is 1 when the
-    |e| term attains the maximum, 2 for the |f| term and 0 when the state is
-    separable.
+    Takes the populations and the coherences, real or complex.  The branch is
+    1 when the |e| term attains the maximum, 2 for the |f| term and 0 when the
+    state is separable.
     """
-    t1 = abs_e - _sqrt_clamped(b * c)
-    t2 = abs_f - _sqrt_clamped(a * d)
+    t1 = _modulus(e) - _sqrt_clamped(b * c)
+    t2 = _modulus(f) - _sqrt_clamped(a * d)
     best = _where(t2 > t1, t2, t1)
     entangled = best > 0.0
     return _where(entangled, 2.0 * best, 0.0), entangled * (2 - (t1 >= t2))
@@ -119,7 +119,7 @@ def trace_discord(r: CorrelationVector) -> QuantifierValue:
 
 def concurrence_x(x: XState) -> QuantifierValue:
     """concurrence_columns of one X state, with branch label C1, C2 or None (separable)."""
-    value, k = concurrence_columns(x.a, x.b, x.c, x.d, abs(x.e), abs(x.f))
+    value, k = concurrence_columns(x.a, x.b, x.c, x.d, x.e, x.f)
     return QuantifierValue(value, "C%d" % k if k else None)
 
 
@@ -145,13 +145,12 @@ def wootters_concurrence(rho: np.ndarray):
         blocks = range(0, len(rho), _STACK_BLOCK)
         return np.concatenate([wootters_concurrence(rho[i : i + _STACK_BLOCK]) for i in blocks])
     try:
-        rho, (w, v) = _checked_spectrum(rho, np.linalg.eigh)  # validate_density's checks
-        w, v = w.reshape(rho.shape[:-1]), v.reshape(rho.shape)
+        rho, (w, v) = _checked_spectrum(rho, np.linalg.eigh)  # validate_density's checks, on a stack
         sqrt_rho = (v * np.sqrt(np.where(w > 0.0, w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
         lams = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ np.conj(sqrt_rho), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolve failed: %s" % exc) from exc
     l1, l2, l3, l4 = lams.T  # svd returns them in decreasing order
     c = l1 - l2 - l3 - l4
-    c = _where(c > 0.0, c, 0.0)
-    return c if isinstance(c, np.ndarray) else float(c)
+    c = np.where(c > 0.0, c, 0.0)
+    return c if rho.ndim == 3 else float(c[0])

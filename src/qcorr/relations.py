@@ -96,8 +96,7 @@ def canonical_frame(channel: ChannelKind, r: CorrelationVector) -> Frame:
         g_sd = 1.0 / sum(s)
     else:
         g_sd = (1.0 - s[2]) / (s[0] + s[1])
-    a, b, c, d, e, f = bd_xstate_columns(*u)
-    _, branch = concurrence_columns(a, b, c, d, abs(e), abs(f))
+    _, branch = concurrence_columns(*bd_xstate_columns(*u))
     return Frame(perm, u, s, g_sd, branch)
 
 

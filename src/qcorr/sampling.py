@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quantifiers import concurrence_columns
-from .states import CorrelationVector, XState, _modulus, check_xstate_columns
+from .states import CorrelationVector, XState, check_xstate_columns
 
 DEFAULT_SEED = 42
 
@@ -89,15 +89,9 @@ def random_entangled_xstate_columns(rng: np.random.Generator, n: int) -> tuple:
     columns = random_xstate_columns(rng, 0)
     while len(columns[0]) < n:
         drawn = random_xstate_columns(rng, n - len(columns[0]))
-        a, b, c, d, e, f = drawn
-        keep = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))[0] > 1e-6
+        keep = concurrence_columns(*drawn)[0] > 1e-6
         columns = tuple(np.concatenate([col, new[keep]]) for col, new in zip(columns, drawn))
     return columns
-
-
-def random_entangled_xstate(rng: np.random.Generator) -> XState:
-    """One state of random_entangled_xstate_columns."""
-    return XState(*(col[0] for col in random_entangled_xstate_columns(rng, 1)))
 
 
 def random_bd_pairs(rng: np.random.Generator, n: int) -> list[tuple[CorrelationVector, CorrelationVector]]:

@@ -28,7 +28,7 @@ from .quantifiers import (
 )
 from .errors import OutOfRange, allocation_guard
 from .sampling import DEFAULT_SEED, random_entangled_xstate_columns, random_xstate_columns
-from .states import EPS_PSD, CorrelationVector, XState, _modulus, bell_eigenvalues, x_density_columns
+from .states import EPS_PSD, CorrelationVector, XState, bell_eigenvalues, x_density_columns
 
 TOLERANCES = {
     "hs_discord_vs_closest_classical": 1e-6,
@@ -48,9 +48,9 @@ def physical_grid(n: int) -> np.ndarray:
     return lattice[np.min(bell_eigenvalues(*lattice.T), axis=0) >= -EPS_PSD]
 
 
-def _check(measure, distances, closed_form, evaluations: int, state_at) -> dict:
+def _check(measure, distances, closed_form, evaluations: int, make, columns) -> dict:
     """Report entry for the oracle's distances against the closed form's
-    values, one per state; state_at(k) is state k."""
+    values, one per state of the columns; make builds a state from a row."""
     deviations = np.abs(distances - closed_form)
     tol = TOLERANCES[measure]
     worst = int(np.argmax(deviations))
@@ -58,21 +58,11 @@ def _check(measure, distances, closed_form, evaluations: int, state_at) -> dict:
     return {
         "measure": measure,
         "max_abs_deviation": max_dev,
-        "worst_case_state": state_at(worst).to_json(),
+        "worst_case_state": make(*(col[worst] for col in columns)).to_json(),
         "evaluations": int(evaluations),
         "tolerance": tol,
         "pass": bool(max_dev <= tol),
     }
-
-
-def _concurrence(a, b, c, d, e, f):
-    """Closed-form concurrence of the X states of the columns a, b, c, d, e, f."""
-    return concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))[0]
-
-
-def _x_state(columns):
-    """state_at for the X states of columns: XState k."""
-    return lambda k: XState(*(col[k] for col in columns))
 
 
 def run_verification(
@@ -97,31 +87,29 @@ def run_verification(
         # the largest array of a check, one complex 4x4 matrix per state
         with allocation_guard("%s: size %d" % (name, size)):
             np.empty((states, 4, 4), dtype=complex)
-    bump = 1e-3 if mutate else 0.0
     r = physical_grid(grid).T
     checks = []
     for measure, (_, distances, evals), closed_form in (
         ("hs_discord_vs_closest_classical", closest_classical_columns(*r, Norm.HS),
-         hs_discord_columns(*r)[0] + bump),
+         hs_discord_columns(*r)[0] + (1e-3 if mutate else 0.0)),
         ("hs_entanglement_vs_closest_separable", closest_separable_hs_columns(*r), hs_entanglement_columns(*r)),
         ("trace_discord_vs_closest_classical", closest_classical_columns(*r, Norm.TRACE),
          trace_discord_columns(*r)[0]),
     ):
-        checks.append(_check(measure, distances, closed_form, evals.sum(), lambda k: CorrelationVector(*r[:, k])))
+        checks.append(_check(measure, distances, closed_form, evals.sum(), CorrelationVector, r))
 
     rng = np.random.default_rng(seed)
     x = random_entangled_xstate_columns(rng, n_xstates)
     if extra_xstate is not None:
-        extra = (extra_xstate.a, extra_xstate.b, extra_xstate.c, extra_xstate.d, extra_xstate.e, extra_xstate.f)
-        x = tuple(np.append(col, v) for col, v in zip(x, extra))
+        x = tuple(np.append(col, getattr(extra_xstate, k)) for col, k in zip(x, "abcdef"))
     for measure, oracle in (("xfamily_oracle_vs_concurrence", closest_separable_trace_xfamily_columns),
                             ("clamped_minimizer_vs_concurrence", clamped_minimizer_columns)):
         _, distances, evals = oracle(*x)
-        checks.append(_check(measure, distances, _concurrence(*x), evals.sum(), _x_state(x)))
+        checks.append(_check(measure, distances, concurrence_columns(*x)[0], evals.sum(), XState, x))
 
     w = random_xstate_columns(rng, n_wootters)
     checks.append(_check("wootters_vs_concurrence_x", wootters_concurrence(x_density_columns(*w)),
-                         _concurrence(*w), n_wootters, _x_state(w)))
+                         concurrence_columns(*w)[0], n_wootters, XState, w))
 
     all_pass = all(c["pass"] for c in checks)
     return {"seed": int(seed), "grid": int(grid), "checks": checks, "all_pass": all_pass}

@@ -44,7 +44,6 @@ from qcorr.relations import (
 from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate_columns, random_xstate_columns
 from qcorr.states import (
     CorrelationVector,
-    _modulus,
     bd_to_density,
     bd_xstate_columns,
     density_to_bd,
@@ -87,8 +86,8 @@ def test_criterion_02_trace_oracle_equivalence():
 def test_criterion_03_trace_distance_identity():
     # the stacked searches and trace norms equal the one-state calls bit for bit
     # (tests/test_oracles.py pins both)
-    a, b, c, d, e, f = x = random_entangled_xstate_columns(np.random.default_rng(SEED), 1000)
-    conc, _ = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))
+    x = random_entangled_xstate_columns(np.random.default_rng(SEED), 1000)
+    conc, _ = concurrence_columns(*x)
     dev_grid = float(np.abs(closest_separable_trace_xfamily_columns(*x)[1] - conc).max())
     dev_clamped = float(np.abs(clamped_minimizer_columns(*x)[1] - conc).max())
     _report(
@@ -100,9 +99,9 @@ def test_criterion_03_trace_distance_identity():
 
 
 def test_criterion_04_concurrence_oracle():
-    a, b, c, d, e, f = random_xstate_columns(np.random.default_rng(SEED), 10000)
-    woot = wootters_concurrence(x_density_columns(a, b, c, d, e, f))
-    closed, _ = concurrence_columns(a, b, c, d, _modulus(e), _modulus(f))
+    x = random_xstate_columns(np.random.default_rng(SEED), 10000)
+    woot = wootters_concurrence(x_density_columns(*x))
+    closed, _ = concurrence_columns(*x)
     dev = float(np.abs(woot - closed).max())
     _report(4, "wootters_concurrence", dev <= 1e-10, "dev=%.3e" % dev)
 
@@ -140,8 +139,7 @@ def test_criterion_06_relation_identity():
             rv = r.as_array() * np.stack(np.broadcast_arrays(*decay_factors(kind, ps)), axis=-1)
             d_hs, i_hs = hs_discord_columns(*rv.T)
             d_tr, i_tr = trace_discord_columns(*rv.T)
-            xa, xb, xc, xd, xe, xf = bd_xstate_columns(*rv.T)
-            conc, _ = concurrence_columns(xa, xb, xc, xd, abs(xe), abs(xf))
+            conc, _ = concurrence_columns(*bd_xstate_columns(*rv.T))
             points = zip(
                 hs_entanglement_columns(*rv.T).tolist(), d_hs.tolist(), i_hs.tolist(),
                 conc.tolist(), d_tr.tolist(), i_tr.tolist(),

@@ -17,7 +17,7 @@ from qcorr.oracles import (
     trace_norm,
 )
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
-from qcorr.sampling import random_entangled_xstate, random_entangled_xstate_columns
+from qcorr.sampling import random_entangled_xstate_columns
 from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate
 from qcorr.verify import TOLERANCES, physical_grid
 
@@ -214,7 +214,7 @@ def test_search_evaluations_are_levels_times_grid_points():
             # one search per axis over [-1, 1], to 1e-8
             assert closest_classical(r, norm).evaluations == 3 * _evaluations(_levels(1.0, 1e-8), 1)
     rng = np.random.default_rng(3)
-    for x in DECADES + [random_entangled_xstate(rng) for _ in range(20)]:
+    for x in DECADES + [XState(*row) for row in zip(*random_entangled_xstate_columns(rng, 20))]:
         bound = min(np.sqrt(x.a * x.d), np.sqrt(x.b * x.c))
         # one search over [0, bound]^2 to 1e-7, and the distance of its minimizer
         expected = _evaluations(_levels(bound / 2.0, 1e-7), 2) + 1

@@ -185,8 +185,7 @@ def test_columns_match_single_states():
     d_hs, i_hs = hs_discord_columns(r1, r2, r3)
     d_tr, i_tr = trace_discord_columns(r1, r2, r3)
     e_hs = hs_entanglement_columns(r1, r2, r3)
-    a, b, c, d, e, f = bd_xstate_columns(r1, r2, r3)
-    conc, k = concurrence_columns(a, b, c, d, abs(e), abs(f))
+    conc, k = concurrence_columns(*bd_xstate_columns(r1, r2, r3))
     for n, r in enumerate(states):
         assert (d_hs[n], "D%d" % (i_hs[n] + 1)) == (hs_discord(r).value, hs_discord(r).branch)
         assert (d_tr[n], "r%d" % (i_tr[n] + 1)) == (trace_discord(r).value, trace_discord(r).branch)
