@@ -11,7 +11,7 @@ finds the minimum of a dense grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ _GRID_POINTS = 5
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     minimizer: CorrelationVector | XState
     distance: float
     evaluations: int
@@ -64,63 +63,66 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     """Minimize convex functions, search s on the box [lo[s], hi[s]]^dims, by
     grid zoom, all searches in lockstep.
 
-    A search's first grid has _GRID_POINTS = 5 points per axis spanning its
-    whole box.  Each later grid keeps, on each axis, the previous grid's
-    points j0, j0 + 1 and j0 + 2, where j0 = clip(b - 1, 0, 2) and b is the
-    best point's index, and adds the midpoints between them; the new bracket
-    [x_j0, x_j0+2] has half the previous half-width and never leaves the
-    previous grid, so no point is clipped or repeated.  The 3^dims kept points
-    carry their values over, and f is evaluated only at the 5^dims - 3^dims
-    new ones.  Invariant: on each grid line through the best point, the
-    minimum of a convex function over the current bracket lies within one
-    spacing of that point, and the new bracket covers that spacing.  The zoom
-    stops once the half-width is at most refine_to; searches with smaller
-    boxes stop earlier.  f(active, *coords) evaluates the searches whose
-    indices are in active, with one (len(active), points) coordinate array per
-    axis, and returns the values in the same shape.  Searches run in blocks of
-    _BLOCK, which bounds the size of each level's stack.  Returns the best
-    points (S, dims), their values and the evaluations per search,
-    5^dims + (levels - 1) (5^dims - 3^dims).
+    A search's first grid has _GRID_POINTS = 5 points per axis over its box.
+    Each later grid keeps the previous grid's points j0, j0 + 1, j0 + 2 on
+    each axis, j0 = clip(b - 1, 0, 2) for the best point's index b, and adds
+    the midpoints between them.  The bracket halves and never leaves the
+    previous grid, so no point is clipped or repeated; the 3^dims kept points
+    carry their values, and f is evaluated only at the 5^dims - 3^dims new
+    ones.  Invariant: on each grid line through the best point, the minimum of
+    a convex function over the current bracket lies within one spacing of
+    that point, and the new bracket covers that spacing.  The zoom stops once
+    the half-width is at most refine_to, earlier for smaller boxes.
+    f(active, *coords) evaluates the searches whose indices are in active,
+    with one (len(active), points) coordinate array per axis, and returns the
+    values in that shape; blocks of _BLOCK searches bound each level's stack.
+    Returns the best points (S, dims), their values and the evaluations per
+    search, 5^dims + (levels - 1) (5^dims - 3^dims).
     """
     n = len(lo)
     best, value, evals = np.empty((n, dims)), np.empty(n), np.empty(n, dtype=int)
     # grid point k of a search sits at index mesh[d, k] of axis d: meshgrid "ij" order
     mesh = np.indices((_GRID_POINTS,) * dims).reshape(dims, -1)
-    kept = np.flatnonzero((mesh % 2 == 0).all(axis=0))  # even on every axis: a previous point
-    new = np.flatnonzero((mesh % 2 == 1).any(axis=0))
-    strides = _GRID_POINTS ** np.arange(dims - 1, -1, -1)  # a point's indices to its position k
-    kept_offset = (mesh[:, kept] // 2).T @ strides  # kept point's position in the previous grid, less j0
+    size = mesh.shape[1]
+    kept = (mesh % 2 == 0).all(axis=0)  # even on every axis: a point of the previous grid
+    new = mesh[:, ~kept]
+    # tables by the best point k.  ends[k]: on each axis, the two current
+    # points whose midpoint is each next point (a kept point is its own
+    # midpoint), from the bracket's first index j0.  carry[k]: where each next
+    # value comes from in the current values followed by f's new ones.
+    j0 = np.clip(mesh - 1, 0, 2)
+    ends = j0.T[:, :, None, None] + np.array([[0, 0, 1, 1, 2], [0, 1, 1, 2, 2]])
+    carry = np.empty((size, size), dtype=int)
+    previous = tuple(j0[:, :, None] + mesh[:, None, kept] // 2)  # kept points' indices per axis
+    carry[:, kept] = np.ravel_multi_index(previous, (_GRID_POINTS,) * dims)
+    carry[:, ~kept] = size + np.arange(new.shape[1])
+    dim = np.arange(dims)
     for start in range(0, n, _BLOCK):
         active = np.arange(start, min(start + _BLOCK, n))
-        # the arithmetic of np.linspace(lo, hi, _GRID_POINTS) on every axis
-        first, last = lo[active, None], hi[active, None]
-        axis = np.arange(_GRID_POINTS) * ((last - first) / (_GRID_POINTS - 1)) + first
-        axis[:, -1] = last[:, 0]
+        rows = np.arange(len(active))[:, None]
+        axis = np.linspace(lo[active], hi[active], _GRID_POINTS, axis=1)
         axes = np.repeat(axis[:, None], dims, axis=1)  # (searches, dims, points)
-        h = (last[:, 0] - first[:, 0]) / 2.0
-        vals = f(active, *(axes[:, d, mesh[d]] for d in range(dims)))
+        half = (hi[active] - lo[active]) / 2.0  # the first grids' half-widths
+        narrowest = half.min()
+        vals = f(active, *(axes[:, d, mesh[d]] for d in dim))
         levels = 1
         while True:
-            at = mesh[:, vals.argmin(axis=1)].T  # the best point's index on each axis
-            h = h / 2.0
-            done = h <= refine_to
-            if done.any():
-                finished = active[done]
-                best[finished] = np.take_along_axis(axes[done], at[done, :, None], axis=2)[..., 0]
-                value[finished] = vals[done].min(axis=1)
-                evals[finished] = len(mesh[0]) + (levels - 1) * len(new)
-                active, axes, vals, at, h = (v[~done] for v in (active, axes, vals, at, h))
+            k = vals.argmin(axis=1)
+            # each level halves the half-width, exactly
+            if narrowest * 0.5**levels <= refine_to:
+                done = half * 0.5**levels <= refine_to
+                finished, at = active[done], rows[done]
+                best[finished] = axes[at, dim, mesh[:, k[done]].T]
+                value[finished] = vals[at[:, 0], k[done]]
+                evals[finished] = size + (levels - 1) * new.shape[1]
+                active, axes, vals, k, half = (v[~done] for v in (active, axes, vals, k, half))
                 if not len(active):
                     break
-            j0 = np.clip(at - 1, 0, 2)
-            bracket = np.take_along_axis(axes, j0[:, :, None] + np.arange(3), axis=2)
-            axes = np.empty_like(axes)
-            axes[..., ::2] = bracket
-            axes[..., 1::2] = 0.5 * (bracket[..., :-1] + bracket[..., 1:])
-            carried = np.take_along_axis(vals, (j0 @ strides)[:, None] + kept_offset, axis=1)
-            vals = np.empty_like(vals)
-            vals[:, kept] = carried
-            vals[:, new] = f(active, *(axes[:, d, mesh[d, new]] for d in range(dims)))
+                rows, narrowest = rows[: len(active)], half.min()
+            pair = axes[rows[:, :, None, None], dim[:, None, None], ends[k]]
+            axes = 0.5 * (pair[:, :, 0] + pair[:, :, 1])
+            fresh = f(active, *(axes[:, d, new[d]] for d in dim))
+            vals = np.concatenate([vals, fresh], axis=1)[rows, carry[k]]
             levels += 1
     return best, value, evals
 
@@ -168,10 +170,8 @@ def closest_classical_columns(r1, r2, r3, norm: Norm) -> tuple:
 
     t, vals, evals = _grid_min(f, np.full(3 * n, -1.0), np.full(3 * n, 1.0), 1, 1e-8)
     vals, t = vals.reshape(n, 3), t.reshape(n, 3)
-    rows, best = np.arange(n), vals.argmin(axis=1)
-    minimizer = np.zeros((n, 3))
-    minimizer[rows, best] = t[rows, best]
-    return tuple(minimizer.T), vals[rows, best], evals.reshape(n, 3).sum(axis=1)
+    on_best = np.arange(3) == vals.argmin(axis=1)[:, None]
+    return tuple(np.where(on_best, t, 0.0).T), vals[on_best], evals.reshape(n, 3).sum(axis=1)
 
 
 def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:
@@ -183,10 +183,9 @@ def closest_separable_hs_columns(r1, r2, r3) -> tuple:
     """Closest point of the separable octahedron |z1| + |z2| + |z3| <= 1, for
     each state of the columns r1, r2, r3.
 
-    Uses the exact Euclidean projection: the absolute triple is projected onto
-    {z >= 0, sum z <= 1} by soft thresholding at the simplex threshold, and
-    the signs are restored; interior points project to themselves with
-    distance 0.  One evaluation per state.
+    Uses the exact Euclidean projection: the absolute triple is soft-thresholded
+    onto {z >= 0, sum z <= 1} and the signs are restored; interior points
+    project to themselves with distance 0.  One evaluation per state.
     """
     rv = np.stack([r1, r2, r3], axis=1)
     s = np.abs(rv)
@@ -205,9 +204,8 @@ def closest_separable_hs(r: CorrelationVector) -> OracleResult:
 
 
 def _aligned(z, modulus):
-    """Complex numbers of the given moduli with the phases of z, phase 1 where
-    z = 0; the phase is z.real / |z| + i z.imag / |z|, as Python divides a
-    complex number by its abs."""
+    """Complex numbers of the given moduli with the phases of z (1 where z = 0),
+    z.real / |z| + i z.imag / |z| as Python divides a complex number by |z|."""
     r = _modulus(z)
     nonzero = r > 0.0
     r = np.where(nonzero, r, 1.0)
@@ -226,9 +224,8 @@ def _separability_bound(a, b, c, d):
 
 def _with_moduli(x: tuple, abs_e, abs_f) -> tuple:
     """The X states with the populations of the columns x and coherences of
-    moduli abs_e and abs_f, their phases aligned with e and f; with the trace
-    distance of each to its state of x, from one batched eigensolve of the
-    complex operator differences."""
+    moduli abs_e and abs_f, phases aligned with e and f, and the trace distance
+    of each to its state of x (one batched eigensolve of the differences)."""
     a, b, c, d, e, f = x
     sigma = (a, b, c, d, _aligned(e, abs_e), _aligned(f, abs_f))
     return sigma, trace_norm(x_density_columns(*x) - x_density_columns(*sigma))
@@ -272,9 +269,8 @@ def closest_separable_trace_xfamily(x: XState) -> OracleResult:
 
 def clamped_minimizer_columns(a, b, c, d, e, f) -> tuple:
     """Analytic minimizer: each coherence kept if feasible, else clamped to the
-    separability bound min(sqrt(ad), sqrt(bc)); phases follow e and f.
-    Returns the minimizer columns, the trace distances and one evaluation per
-    state, like the search oracles."""
+    separability bound min(sqrt(ad), sqrt(bc)); phases follow e and f.  Returns
+    its columns, trace distances and one evaluation per state."""
     bound = _separability_bound(a, b, c, d)
     return (*_with_moduli((a, b, c, d, e, f), np.minimum(_modulus(e), bound), np.minimum(_modulus(f), bound)),
             np.ones(len(a), dtype=int))

@@ -48,9 +48,11 @@ def physical_grid(n: int) -> np.ndarray:
     return lattice[np.min(bell_eigenvalues(*lattice.T), axis=0) >= -EPS_PSD]
 
 
-def _check(measure, distances, closed_form, evaluations: int, make, columns) -> dict:
-    """Report entry for the oracle's distances against the closed form's
-    values, one per state of the columns; make builds a state from a row."""
+def _check(measure, found, closed_form, make, columns) -> dict:
+    """Report entry for an oracle's (minimizer, distances, evaluations) against
+    the closed form's values, one per state of the columns; make builds the
+    worst state from its row."""
+    _, distances, evaluations = found
     deviations = np.abs(distances - closed_form)
     tol = TOLERANCES[measure]
     worst = int(np.argmax(deviations))
@@ -59,7 +61,7 @@ def _check(measure, distances, closed_form, evaluations: int, make, columns) -> 
         "measure": measure,
         "max_abs_deviation": max_dev,
         "worst_case_state": make(*(col[worst] for col in columns)).to_json(),
-        "evaluations": int(evaluations),
+        "evaluations": int(np.sum(evaluations)),
         "tolerance": tol,
         "pass": bool(max_dev <= tol),
     }
@@ -88,28 +90,28 @@ def run_verification(
         with allocation_guard("%s: size %d" % (name, size)):
             np.empty((states, 4, 4), dtype=complex)
     r = physical_grid(grid).T
-    checks = []
-    for measure, (_, distances, evals), closed_form in (
-        ("hs_discord_vs_closest_classical", closest_classical_columns(*r, Norm.HS),
-         hs_discord_columns(*r)[0] + (1e-3 if mutate else 0.0)),
-        ("hs_entanglement_vs_closest_separable", closest_separable_hs_columns(*r), hs_entanglement_columns(*r)),
-        ("trace_discord_vs_closest_classical", closest_classical_columns(*r, Norm.TRACE),
-         trace_discord_columns(*r)[0]),
-    ):
-        checks.append(_check(measure, distances, closed_form, evals.sum(), CorrelationVector, r))
+    checks = [
+        _check("hs_discord_vs_closest_classical", closest_classical_columns(*r, Norm.HS),
+               hs_discord_columns(*r)[0] + (1e-3 if mutate else 0.0), CorrelationVector, r),
+        _check("hs_entanglement_vs_closest_separable", closest_separable_hs_columns(*r),
+               hs_entanglement_columns(*r), CorrelationVector, r),
+        _check("trace_discord_vs_closest_classical", closest_classical_columns(*r, Norm.TRACE),
+               trace_discord_columns(*r)[0], CorrelationVector, r),
+    ]
 
     rng = np.random.default_rng(seed)
     x = random_entangled_xstate_columns(rng, n_xstates)
     if extra_xstate is not None:
         x = tuple(np.append(col, getattr(extra_xstate, k)) for col, k in zip(x, "abcdef"))
-    for measure, oracle in (("xfamily_oracle_vs_concurrence", closest_separable_trace_xfamily_columns),
-                            ("clamped_minimizer_vs_concurrence", clamped_minimizer_columns)):
-        _, distances, evals = oracle(*x)
-        checks.append(_check(measure, distances, concurrence_columns(*x)[0], evals.sum(), XState, x))
+    conc = concurrence_columns(*x)[0]
+    checks += [
+        _check("xfamily_oracle_vs_concurrence", closest_separable_trace_xfamily_columns(*x), conc, XState, x),
+        _check("clamped_minimizer_vs_concurrence", clamped_minimizer_columns(*x), conc, XState, x),
+    ]
 
     w = random_xstate_columns(rng, n_wootters)
-    checks.append(_check("wootters_vs_concurrence_x", wootters_concurrence(x_density_columns(*w)),
-                         concurrence_columns(*w)[0], n_wootters, XState, w))
+    spin_flip = (None, wootters_concurrence(x_density_columns(*w)), n_wootters)  # no minimizer
+    checks.append(_check("wootters_vs_concurrence_x", spin_flip, concurrence_columns(*w)[0], XState, w))
 
     all_pass = all(c["pass"] for c in checks)
     return {"seed": int(seed), "grid": int(grid), "checks": checks, "all_pass": all_pass}
