@@ -128,9 +128,9 @@ def run_trajectory(
     and is a trace sudden change; it is an HS sudden change at the same p* when
     the third modulus lies below the pair, since D_j - D_i = r_i^2 - r_j^2 has
     the sign of |r_i| - |r_j| at every p, so the HS branch values cross there
-    too.  A zero at either end of a cell is a tie-break, not a
-    crossing.  Sudden death is the first
-    downward crossing of the octahedron margin on the same rows, bisected.
+    too.  A zero at either end of a cell is a tie-break, not a crossing.
+    Sudden death is the first downward crossing of the octahedron margin on
+    the same rows, bisected.
     Each detected event is matched to its analytic prediction when one exists
     within 1e-6; analytic changes and deaths in [0, p_max] left without a
     detection are listed in unmatched.

@@ -1,12 +1,14 @@
 """Brute-force minimizers over the classical and separable sets.
 
 These oracles validate every closed-form quantifier by direct search: a
-grid over the whole search box refined by zooming sub-grids, with trace
-distances obtained from eigenvalues of the operator difference rather than
-from any r-space shortcut.  Both searched functions, ||rho - sigma(t)|| over
-an axis and ||rho_X - sigma_X(a, b)||_1 over the coherence moduli, are norms
-of affine maps and hence convex, so a coarse start grid followed by a zoom
-finds the minimum of a dense grid.
+grid over the whole search box refined by zooming sub-grids that reuse the
+points they keep, with trace distances from eigenvalues of the operator
+difference, never an r-space shortcut.  Both searched functions,
+||rho - sigma(t)|| over an axis and ||rho_X - sigma_X(a, b)||_1 over the
+coherence moduli, are norms of affine maps and hence convex, so a coarse
+start grid followed by a zoom finds the minimum of a dense grid.  Oracles
+take state components as columns and return the minimizers' columns, the
+distances and the evaluations; single-state forms return an OracleResult.
 """
 
 from __future__ import annotations

@@ -227,9 +227,9 @@ def test_zoom_never_evaluates_a_point_twice(dims):
     lo = np.array([-1.0, 0.0, 0.0, 0.0, -3.0, 0.0] * 15)
     hi = np.array([1.0, 1e-3, 0.5, 2.0, -1.0, 1e-5] * 15)
     target = np.random.default_rng(1).uniform(-4.0, 3.0, size=(len(lo), dims))
-    seen = [set() for _ in lo]
     for k in range(len(lo)):
         target[k, : k % (dims + 1)] = (lo[k], hi[k])[k % 2]
+    seen = [set() for _ in lo]  # the points f received, per search
 
     def f(active, *coords):
         for row, s in enumerate(active):
