@@ -90,12 +90,8 @@ def kraus_for(kind: ChannelKind, p: float) -> KrausChannel:
     elif kind is ChannelKind.PHASE_FLIP:
         ops = (sq * _I2, sp * SIGMA_3)
     elif kind is ChannelKind.DEPOLARIZING:
-        ops = (
-            math.sqrt(1.0 - 0.75 * p) * _I2,
-            math.sqrt(p / 4.0) * SIGMA_1,
-            math.sqrt(p / 4.0) * SIGMA_2,
-            math.sqrt(p / 4.0) * SIGMA_3,
-        )
+        sp = math.sqrt(p / 4.0)
+        ops = (math.sqrt(1.0 - 0.75 * p) * _I2, sp * SIGMA_1, sp * SIGMA_2, sp * SIGMA_3)
     else:  # pragma: no cover
         raise OutOfRange("unknown channel kind %r" % kind)
     for op in ops:

@@ -87,25 +87,15 @@ def _initial_state(args) -> CorrelationVector:
     raise ConfigError("state: one of --state or --xstate is required")
 
 
-def _write_events(traj, out_csv: str):
-    events = [
-        {
-            "kind": e.kind,
-            "norm": e.norm.value,
-            "p_detected": e.p_detected,
-            "p_analytic": e.p_analytic,
-        }
-        for e in traj.event_records
-    ]
-    doc = {"events": events}
+def _write_events(traj, out_csv: str) -> None:
+    """The event sidecar <stem>.events.json next to the CSV."""
+    doc = {"events": [{"kind": e.kind, "norm": e.norm.value, "p_detected": e.p_detected,
+                       "p_analytic": e.p_analytic} for e in traj.event_records]}
     if traj.unmatched:  # only when non-empty, so that sidecars without misses keep their bytes
-        doc["unmatched"] = [
-            {"kind": e.kind, "norm": e.norm.value, "p_analytic": e.p_analytic} for e in traj.unmatched
-        ]
+        doc["unmatched"] = [{"kind": e.kind, "norm": e.norm.value, "p_analytic": e.p_analytic}
+                            for e in traj.unmatched]
     path = Path(out_csv)
-    sidecar = path.with_name(path.stem + ".events.json")
-    sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return sidecar
+    path.with_name(path.stem + ".events.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt_or_none(x) -> str:
@@ -174,18 +164,17 @@ def cmd_curve(args) -> int:
     return 0
 
 
+# verify's size options and the run_verification arguments they set
+_VERIFY_SIZES = {"seed": "seed", "grid": "grid", "xstates": "n_xstates", "wootters": "n_wootters"}
+
+
 def cmd_verify(args) -> int:
     if args.out is not None and not Path(args.out).parent.is_dir():
         raise ConfigError("out: directory of %r does not exist" % args.out)
     extra = _load_xstate(args.xstate) if args.xstate is not None else None
-    report = run_verification(
-        seed=args.seed,
-        grid=args.grid,
-        n_xstates=args.xstates,
-        n_wootters=args.wootters,
-        mutate=args.mutate,
-        extra_xstate=extra,
-    )
+    # the sizes given on the command line; the others keep run_verification's defaults
+    sizes = {k: v for k, v in vars(args).items() if k in _VERIFY_SIZES.values()}
+    report = run_verification(**sizes, mutate=args.mutate, extra_xstate=extra)
     text = report_to_json(report)
     if args.out is not None:
         Path(args.out).write_text(text)
@@ -193,15 +182,9 @@ def cmd_verify(args) -> int:
         sys.stdout.write(text)
     if not report["all_pass"]:
         worst = next(c for c in report["checks"] if not c["pass"])
-        raise VerifyFailure(
-            "%s max_abs_deviation=%s tolerance=%s worst_case_state=%s"
-            % (
-                worst["measure"],
-                _fmt(worst["max_abs_deviation"]),
-                _fmt(worst["tolerance"]),
-                json.dumps(worst["worst_case_state"], sort_keys=True),
-            )
-        )
+        raise VerifyFailure("%s max_abs_deviation=%s tolerance=%s worst_case_state=%s" % (
+            worst["measure"], _fmt(worst["max_abs_deviation"]), _fmt(worst["tolerance"]),
+            json.dumps(worst["worst_case_state"], sort_keys=True)))
     return 0
 
 
@@ -234,10 +217,9 @@ def build_parser() -> _Parser:
     p_cur.set_defaults(func=cmd_curve)
 
     p_ver = sub.add_parser("verify", help="oracle-vs-closed-form verification report")
-    p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--grid", type=int, default=9)
-    p_ver.add_argument("--xstates", type=int, default=1000)
-    p_ver.add_argument("--wootters", type=int, default=10000)
+    for option, name in _VERIFY_SIZES.items():
+        p_ver.add_argument("--" + option, dest=name, metavar=option.upper(), type=int,
+                           default=argparse.SUPPRESS)
     p_ver.add_argument("--xstate", help="extra X-state JSON for the trace-distance identity check")
     p_ver.add_argument("--out", help="report JSON path (default: stdout)")
     p_ver.add_argument("--mutate", action="store_true", help=argparse.SUPPRESS)

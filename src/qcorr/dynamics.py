@@ -20,6 +20,8 @@ from .channels import ChannelKind, decay_factors, evolved_vector, monotone_p_max
 from .errors import DegenerateOrdering, EmptyWindow, NonPhysical, NotEntangled, OutOfRange, allocation_guard
 from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
+    HS_LABELS,
+    TRACE_LABELS,
     Norm,
     concurrence_columns,
     hs_discord_columns,
@@ -28,15 +30,13 @@ from .quantifiers import (
     trace_discord_columns,
 )
 from .relations import RelationCase, critical_times, sudden_death_time
-from .states import EPS_PSD, CorrelationVector, bd_density_columns, bd_xstate_columns, bell_eigenvalues
+from .states import CorrelationVector, bd_density_columns, bd_xstate_columns, bell_eigenvalues, in_tetrahedron
 
 SUDDEN_CHANGE = "SuddenChangeDiscord"
 SUDDEN_DEATH = "SuddenDeathEntanglement"
 
 _REFINE_TOL = 1e-10
 _MATCH_TOL = 1e-6
-_HS_LABELS = np.array(["D1", "D2", "D3"])
-_TRACE_LABELS = np.array(["r1", "r2", "r3"])
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,7 @@ class Trajectory:
     unmatched: list[EventRecord] = field(default_factory=list)
 
     def death_p(self) -> float | None:
-        for e in self.event_records:
-            if e.kind == SUDDEN_DEATH:
-                return e.p_detected
-        return None
+        return next((e.p_detected for e in self.event_records if e.kind == SUDDEN_DEATH), None)
 
 
 def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
@@ -92,24 +89,22 @@ def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
 
 
 def _match_analytic(p: float, candidates) -> float | None:
-    best = None
-    for c in candidates:
-        if best is None or abs(c - p) < abs(best - p):
-            best = c
-    if best is not None and abs(best - p) <= _MATCH_TOL:
-        return best
-    return None
+    """The candidate nearest to p, the first on ties, when within _MATCH_TOL."""
+    best = min(candidates, key=lambda c: abs(c - p), default=None)
+    return best if best is not None and abs(best - p) <= _MATCH_TOL else None
 
 
 def _evolve(channel: ChannelKind, rs: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Evolved vectors of the rows of rs (states x 3) at every p: an array of
     shape states x len(p) x 3.  Raises NonPhysical for the first evolved
-    vector outside the tetrahedron, in row order."""
+    vector outside the tetrahedron, in row order: by state, then by p."""
     r = rs[:, None, :] * np.stack(np.broadcast_arrays(*decay_factors(channel, p)), axis=-1)
-    lowest = np.min(bell_eigenvalues(*np.moveaxis(r, -1, 0)), axis=0)
-    i, k = np.unravel_index(np.argmin(lowest), lowest.shape)  # the first NaN, if there is one
-    if not lowest[i, k] >= -EPS_PSD:
-        raise NonPhysical("evolved vector at p = %g has eigenvalue %.6g" % (p[k], lowest[i, k]))
+    rows = r.reshape(-1, 3)
+    outside = np.flatnonzero(~in_tetrahedron(*rows.T))
+    if outside.size:
+        k = outside[0]
+        lowest = np.min(bell_eigenvalues(*rows[k]))
+        raise NonPhysical("evolved vector at p = %g has eigenvalue %.6g" % (p[k % len(p)], lowest))
     return r
 
 
@@ -159,8 +154,8 @@ def run_trajectory(
         d_hs=d_hs,
         concurrence=concurrence,
         d_tr=d_tr,
-        branch_hs=_HS_LABELS[i_hs],
-        branch_tr=_TRACE_LABELS[i_tr],
+        branch_hs=np.array(HS_LABELS)[i_hs],
+        branch_tr=np.array(TRACE_LABELS)[i_tr],
     )
 
     analytic = {}  # (kind, norm) -> the analytic times, read for matching only

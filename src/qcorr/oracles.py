@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailure
-from .quantifiers import Norm, square
+from .quantifiers import _STACK_BLOCK, Norm, square
 from .states import (
     SIGMA_PAIR,
     CorrelationVector,
@@ -31,9 +31,6 @@ from .states import (
 
 # points per axis of every search grid
 _GRID_POINTS = 5
-
-# searches advanced together by _grid_min: bounds each level's stack of points
-_BLOCK = 64
 
 
 class OracleResult(NamedTuple):
@@ -77,7 +74,8 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     the half-width is at most refine_to, earlier for smaller boxes.
     f(active, *coords) evaluates the searches whose indices are in active,
     with one (len(active), points) coordinate array per axis, and returns the
-    values in that shape; blocks of _BLOCK searches bound each level's stack.
+    values in that shape; blocks of _STACK_BLOCK searches bound each level's
+    stack.
     Returns the best points (S, dims), their values and the evaluations per
     search, 5^dims + (levels - 1) (5^dims - 3^dims).
     """
@@ -99,8 +97,8 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
     carry[:, kept] = np.ravel_multi_index(previous, (_GRID_POINTS,) * dims)
     carry[:, ~kept] = size + np.arange(new.shape[1])
     dim = np.arange(dims)
-    for start in range(0, n, _BLOCK):
-        active = np.arange(start, min(start + _BLOCK, n))
+    for start in range(0, n, _STACK_BLOCK):
+        active = np.arange(start, min(start + _STACK_BLOCK, n))
         rows = np.arange(len(active))[:, None]
         axis = np.linspace(lo[active], hi[active], _GRID_POINTS, axis=1)
         axes = np.repeat(axis[:, None], dims, axis=1)  # (searches, dims, points)

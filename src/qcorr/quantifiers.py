@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .states import SIGMA_2, CorrelationVector, XState, _checked_spectrum, _modulus, _sqrt_clamped, _where
+from .states import octahedron_margin
 
 
 class Norm(enum.Enum):
@@ -27,6 +28,13 @@ class Norm(enum.Enum):
 class QuantifierValue:
     value: float
     branch: str | None = None
+
+
+# Branch labels by the index the closed forms below return: the HS discord's
+# closest axis, the trace discord's middle modulus, the concurrence's term.
+HS_LABELS = ("D1", "D2", "D3")
+TRACE_LABELS = ("r1", "r2", "r3")
+CONCURRENCE_LABELS = (None, "C1", "C2")
 
 
 # Each closed form below is written once, over the components of the state.
@@ -63,11 +71,6 @@ def hs_discord_columns(r1, r2, r3) -> tuple:
     return _pick((d1 <= d2) & (d1 <= d3), (d2 < d1) & (d2 <= d3), (d1, d2, d3))
 
 
-def octahedron_margin(r1, r2, r3):
-    """|r1| + |r2| + |r3| - 1, positive outside the separable octahedron."""
-    return abs(r1) + abs(r2) + abs(r3) - 1.0
-
-
 def hs_entanglement_columns(r1, r2, r3):
     """HS entanglement margin^2 / 3 outside the octahedron, 0 inside; the
     clamp at the octahedron is exact."""
@@ -101,9 +104,9 @@ def concurrence_columns(a, b, c, d, e, f) -> tuple:
 
 
 def hs_discord(r: CorrelationVector) -> QuantifierValue:
-    """hs_discord_columns of one state, with branch label D1, D2 or D3."""
+    """hs_discord_columns of one state, with its HS_LABELS branch label."""
     value, i = hs_discord_columns(r.r1, r.r2, r.r3)
-    return QuantifierValue(value, "D%d" % (i + 1))
+    return QuantifierValue(value, HS_LABELS[i])
 
 
 def hs_entanglement(r: CorrelationVector) -> QuantifierValue:
@@ -112,20 +115,21 @@ def hs_entanglement(r: CorrelationVector) -> QuantifierValue:
 
 
 def trace_discord(r: CorrelationVector) -> QuantifierValue:
-    """trace_discord_columns of one state, with branch label r1, r2 or r3."""
+    """trace_discord_columns of one state, with its TRACE_LABELS branch label."""
     value, mid = trace_discord_columns(r.r1, r.r2, r.r3)
-    return QuantifierValue(value, "r%d" % (mid + 1))
+    return QuantifierValue(value, TRACE_LABELS[mid])
 
 
 def concurrence_x(x: XState) -> QuantifierValue:
-    """concurrence_columns of one X state, with branch label C1, C2 or None (separable)."""
+    """concurrence_columns of one X state, with its CONCURRENCE_LABELS branch label."""
     value, k = concurrence_columns(x.a, x.b, x.c, x.d, x.e, x.f)
-    return QuantifierValue(value, "C%d" % k if k else None)
+    return QuantifierValue(value, CONCURRENCE_LABELS[k])
 
 
 _SPIN_FLIP = np.kron(SIGMA_2, SIGMA_2)
 
-# matrices per batched eigensolve of wootters_concurrence
+# matrices per batched eigensolve of wootters_concurrence, and searches per
+# zoom of the oracles' _grid_min: bounds the temporaries of one stack
 _STACK_BLOCK = 1024
 
 

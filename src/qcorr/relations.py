@@ -27,8 +27,8 @@ from .errors import (
     OutOfRange,
     WindowViolation,
 )
-from .quantifiers import Norm, concurrence_columns, hs_axis_distances
-from .states import CorrelationVector, bd_xstate_columns
+from .quantifiers import HS_LABELS, TRACE_LABELS, Norm, concurrence_columns, hs_axis_distances
+from .states import CorrelationVector, bd_xstate_columns, octahedron_margin
 
 _ORDER_TOL = 1e-12
 _WINDOW_TOL = 1e-9
@@ -90,7 +90,7 @@ def canonical_frame(channel: ChannelKind, r: CorrelationVector) -> Frame:
     rv = (r.r1, r.r2, r.r3)
     u = tuple(rv[j] for j in perm)
     s = tuple(abs(v) for v in u)
-    if sum(s) <= 1.0:
+    if octahedron_margin(*u) <= 0.0:
         g_sd = None
     elif channel is ChannelKind.DEPOLARIZING:
         g_sd = 1.0 / sum(s)
@@ -161,11 +161,12 @@ def extrapolation_start(case: RelationCase) -> float:
     return changes[0] if changes and min(s[0], s[1]) < s[2] else math.inf
 
 
-def _branch_index(label: str | None, prefix: str) -> int:
+def _branch_index(label: str | None, labels: tuple[str, ...]) -> int:
+    """Index of label in labels, a label table of qcorr.quantifiers."""
     if label is None:
         raise BranchUnknown("active branch label is required")
-    if len(label) == 2 and label[0] == prefix and label[1] in "123":
-        return int(label[1]) - 1
+    if label in labels:
+        return labels.index(label)
     raise BranchUnknown("unrecognized branch label %r" % label)
 
 
@@ -185,7 +186,7 @@ def _p_in_window(channel: ChannelKind, g: float, g_sd: float, what: str) -> floa
     return inverse_decay_p(channel, min(g, 1.0))
 
 
-def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | None = None) -> float:
+def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | None) -> float:
     """HS discord reconstructed from the HS entanglement on the active branch.
 
     Inverts E = ((s1 + s2) g + s3 - 1)^2 / 3 (dephasing-type; all-axes sum for
@@ -193,7 +194,7 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
     to the corresponding axis.  Valid for p in [0, p_SD] on the branch's own
     window; outside it WindowViolation is raised.
     """
-    idx = _branch_index(branch, "D")
+    idx = _branch_index(branch, HS_LABELS)
     if E < 0.0:
         raise OutOfRange("entanglement E = %g is negative" % E)
     channel = case.channel
@@ -209,7 +210,7 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
     v = evolved_vector(channel, case.initial, p)
     d = hs_axis_distances(v.r1, v.r2, v.r3)
     if d[idx] > min(d) + _WINDOW_TOL:
-        raise WindowViolation("branch D%d is not active at p = %.9g" % (idx + 1, p))
+        raise WindowViolation("branch %s is not active at p = %.9g" % (branch, p))
     gsq = g * g
     slot = perm.index(idx)
     if channel is ChannelKind.DEPOLARIZING or slot == 2:  # every other axis decays
@@ -218,7 +219,7 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
     return s[1 - slot] ** 2 * gsq + s[2] ** 2
 
 
-def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | None = None) -> float:
+def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | None) -> float:
     """Trace discord reconstructed from the concurrence on the active piece.
 
     The winning concurrence branch of the (canonically ordered) initial state
@@ -226,7 +227,7 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     (|u2 + u1|, |1 + u3|).  Decaying pieces evaluate |r_i| g(C); the preserved
     piece is the constant plateau.  WindowViolation outside the piece window.
     """
-    idx = _branch_index(piece, "r")
+    idx = _branch_index(piece, TRACE_LABELS)
     if C < 0.0:
         raise OutOfRange("concurrence C = %g is negative" % C)
     channel = case.channel
@@ -241,7 +242,7 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     p = _p_in_window(channel, g, g_sd, "C")
     sv = evolved_vector(channel, case.initial, p).abs_triple()
     if abs(sv[idx] - sorted(sv)[1]) > _WINDOW_TOL:
-        raise WindowViolation("piece r%d is not active at p = %.9g" % (idx + 1, p))
+        raise WindowViolation("piece %s is not active at p = %.9g" % (piece, p))
     slot = perm.index(idx)
     if channel is not ChannelKind.DEPOLARIZING and slot == 2:
         return s[2]

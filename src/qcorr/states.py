@@ -62,12 +62,42 @@ def bell_eigenvalues(r1: float, r2: float, r3: float) -> tuple[float, float, flo
     )
 
 
+def in_tetrahedron(r1, r2, r3):
+    """Whether the Bell-diagonal state lies in the tetrahedron of physical
+    states: every Bell eigenvalue >= -EPS_PSD.  A bool for numbers, a mask for
+    arrays; NaN, from a NaN or infinite component, fails the comparisons."""
+    l0, l1, l2, l3 = bell_eigenvalues(r1, r2, r3)
+    return (l0 >= -EPS_PSD) & (l1 >= -EPS_PSD) & (l2 >= -EPS_PSD) & (l3 >= -EPS_PSD)
+
+
+def octahedron_margin(r1, r2, r3):
+    """|r1| + |r2| + |r3| - 1, positive outside the separable octahedron."""
+    return abs(r1) + abs(r2) + abs(r3) - 1.0
+
+
+def check_bd_columns(r1, r2, r3) -> None:
+    """Raise NonPhysical unless (r1, r2, r3) lies in_tetrahedron.
+
+    Numbers check one state; equal-length arrays check one state per row, and
+    the first failing row raises the message it raises on its own.
+    """
+    inside = in_tetrahedron(r1, r2, r3)
+    if isinstance(inside, np.ndarray):
+        k = _leading(inside)
+        if k < len(inside):
+            check_bd_columns(float(r1[k]), float(r2[k]), float(r3[k]))
+    elif not inside:
+        if not all(np.isfinite((r1, r2, r3))):
+            raise NonPhysical("correlation vector (%g, %g, %g) is not finite" % (r1, r2, r3))
+        raise NonPhysical("eigenvalue %.6g of correlation vector (%g, %g, %g) is negative"
+                          % (min(bell_eigenvalues(r1, r2, r3)), r1, r2, r3))
+
+
 @dataclass(frozen=True)
 class CorrelationVector:
     """Correlation triple (r1, r2, r3) of a two-qubit Bell-diagonal state.
 
-    Construction validates tetrahedron membership: all four eigenvalues of the
-    associated density matrix must be >= -EPS_PSD.
+    Construction validates tetrahedron membership with check_bd_columns.
     """
 
     r1: float
@@ -75,20 +105,10 @@ class CorrelationVector:
     r3: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r1", float(self.r1))
-        object.__setattr__(self, "r2", float(self.r2))
-        object.__setattr__(self, "r3", float(self.r3))
-        l0, l1, l2, l3 = bell_eigenvalues(self.r1, self.r2, self.r3)
-        # Negated comparisons, so that NaN (from NaN or infinite r) fails them.
-        if not (l0 >= -EPS_PSD and l1 >= -EPS_PSD and l2 >= -EPS_PSD and l3 >= -EPS_PSD):
-            if not all(np.isfinite((self.r1, self.r2, self.r3))):
-                raise NonPhysical(
-                    "correlation vector (%g, %g, %g) is not finite" % (self.r1, self.r2, self.r3)
-                )
-            raise NonPhysical(
-                "eigenvalue %.6g of correlation vector (%g, %g, %g) is negative"
-                % (min(l0, l1, l2, l3), self.r1, self.r2, self.r3)
-            )
+        r1, r2, r3 = float(self.r1), float(self.r2), float(self.r3)
+        fields = self.__dict__  # written past the frozen __setattr__
+        fields["r1"], fields["r2"], fields["r3"] = r1, r2, r3
+        check_bd_columns(r1, r2, r3)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r1, self.r2, self.r3])
@@ -286,10 +306,9 @@ def classify_region(r: CorrelationVector) -> RegionLabel:
     Entangled states lie outside the octahedron |r1| + |r2| + |r3| <= 1;
     classical (zero-discord) states lie on the Cartesian axes.
     """
-    s = r.abs_triple()
-    if sum(s) > 1.0:
+    if octahedron_margin(r.r1, r.r2, r.r3) > 0.0:
         return RegionLabel.ENTANGLED
-    if sum(1 for x in s if x <= 1e-12) >= 2:
+    if sum(1 for x in r.abs_triple() if x <= 1e-12) >= 2:
         return RegionLabel.CLASSICAL
     return RegionLabel.SEPARABLE_NONCLASSICAL
 

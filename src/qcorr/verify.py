@@ -28,7 +28,7 @@ from .quantifiers import (
 )
 from .errors import OutOfRange, allocation_guard
 from .sampling import DEFAULT_SEED, random_entangled_xstate_columns, random_xstate_columns
-from .states import EPS_PSD, CorrelationVector, XState, bell_eigenvalues, x_density_columns
+from .states import CorrelationVector, XState, in_tetrahedron, x_density_columns
 
 TOLERANCES = {
     "hs_discord_vs_closest_classical": 1e-6,
@@ -45,7 +45,7 @@ def physical_grid(n: int) -> np.ndarray:
     per row with r3 varying fastest."""
     axis = np.linspace(-1.0, 1.0, n)
     lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    return lattice[np.min(bell_eigenvalues(*lattice.T), axis=0) >= -EPS_PSD]
+    return lattice[in_tetrahedron(*lattice.T)]
 
 
 def _check(measure, found, closed_form, make, columns) -> dict:

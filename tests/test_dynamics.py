@@ -6,6 +6,7 @@ import pytest
 from conftest import REF
 from qcorr.channels import ChannelKind, evolved_vector, monotone_p_max
 from qcorr.dynamics import (
+    _evolve,
     SUDDEN_CHANGE,
     SUDDEN_DEATH,
     contractivity_scan,
@@ -48,6 +49,18 @@ def test_nonphysical_evolution_raises(monkeypatch):
     monkeypatch.setattr(dyn, "decay_factors", lambda kind, p: (1.5 + 0.0 * p, 1.0, 1.0))
     with pytest.raises(NonPhysical, match="at p = 0 has eigenvalue -0.04625"):
         run_trajectory(PD, R0, 1.0, 11)
+
+
+@pytest.mark.parametrize("p, message", [
+    ([0.0], "at p = 0 has eigenvalue -0.425"),
+    # the first state's vector at p = 0.5 precedes the second state's rows
+    ([0.5, 0.0], "at p = 0.5 has eigenvalue -0.0875"),
+])
+def test_evolve_reports_the_first_row_outside(p, message):
+    # the second state's vectors lie further outside (-0.875 at p = 0)
+    rows = np.array([[0.9, 0.9, 0.9], [1.5, 1.5, 1.5]])
+    with pytest.raises(NonPhysical, match=message):
+        _evolve(PD, rows, np.array(p))
 
 
 def test_reference_events_detected():

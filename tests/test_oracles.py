@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import REF, physical_vectors, xstates
+import qcorr.oracles
 from qcorr.oracles import (
-    _BLOCK,
     _grid_min,
     OracleResult,
     clamped_minimizer,
@@ -20,6 +20,16 @@ from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, 
 from qcorr.sampling import random_entangled_xstate_columns
 from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate
 from qcorr.verify import TOLERANCES, physical_grid
+
+
+# searches per block in the tests that cross block boundaries; the library's
+# block of 1024 searches holds every check of a default verify in one block
+_BLOCK = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(qcorr.oracles, "_STACK_BLOCK", _BLOCK)
 
 
 def _grid_states(n: int) -> list[CorrelationVector]:
@@ -165,7 +175,7 @@ def test_xfamily_oracle_property(x):
 
 
 @pytest.mark.parametrize("norm", list(Norm))
-def test_classical_lockstep_matches_single_searches(norm):
+def test_classical_lockstep_matches_single_searches(norm, small_blocks):
     grid = physical_grid(5)
     assert 3 * len(grid) > 2 * _BLOCK  # the state x axis searches fill several blocks
     batched = _results(CorrelationVector, closest_classical_columns(*grid.T, norm))
@@ -178,7 +188,7 @@ def test_classical_lockstep_matches_single_searches(norm):
 DECADES = [XState(t, 0.5 - t, 0.5 - t, t, 0.9 * t, 0.1 * (0.5 - t)) for t in (0.2, 1e-2, 1e-3, 1e-4, 1e-5)]
 
 
-def test_xfamily_lockstep_matches_single_searches():
+def test_xfamily_lockstep_matches_single_searches(small_blocks):
     rng = np.random.default_rng(11)
     drawn = random_entangled_xstate_columns(rng, 200)
     xs = [XState(*row) for row in zip(*drawn)]
@@ -222,7 +232,7 @@ def test_search_evaluations_are_levels_times_grid_points():
 
 
 @pytest.mark.parametrize("dims", [1, 2])
-def test_zoom_never_evaluates_a_point_twice(dims):
+def test_zoom_never_evaluates_a_point_twice(dims, small_blocks):
     # boxes over several decades, minima inside, on edges and on corners
     lo = np.array([-1.0, 0.0, 0.0, 0.0, -3.0, 0.0] * 15)
     hi = np.array([1.0, 1e-3, 0.5, 2.0, -1.0, 1e-5] * 15)

@@ -153,9 +153,9 @@ def test_trace_relation_examples():
 def test_relation_errors():
     case = RelationCase(PD, Norm.HS, R0)
     with pytest.raises(BranchUnknown):
-        hs_discord_from_entanglement(0.1, case)
+        hs_discord_from_entanglement(0.1, case, None)
     with pytest.raises(BranchUnknown):
-        trace_discord_from_concurrence(0.1, RelationCase(PD, Norm.TRACE, R0))
+        trace_discord_from_concurrence(0.1, RelationCase(PD, Norm.TRACE, R0), None)
     with pytest.raises(WindowViolation):
         # E larger than its initial value has no p in [0, p_SD]
         hs_discord_from_entanglement(1.0, case, branch="D1")

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qcorr.errors import NonPhysical
 from qcorr.quantifiers import concurrence_x
-from qcorr.sampling import random_entangled_xstate_columns, random_xstate, random_xstate_columns
+from qcorr.sampling import random_entangled_bd, random_entangled_xstate_columns, random_xstate, random_xstate_columns
 from qcorr.states import XState, check_xstate_columns, x_density_columns
 
 
@@ -77,3 +79,15 @@ def test_xstate_column_check_raises_the_scalar_message(corrupt):
     with pytest.raises(NonPhysical) as info:
         check_xstate_columns(*columns.values())
     assert str(info.value) == expected
+
+
+def test_entangled_bd_draws_are_pinned():
+    # the reprs of four draws per seed, with and without a moduli gap, for
+    # seeds 0-99; the acceptance near the octahedron rounds with the order in
+    # which the moduli are added
+    h = hashlib.sha256()
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        for gap in (0.0, 0.0, 1e-3, 5e-3):
+            h.update(repr(random_entangled_bd(rng, gap)).encode() + b"\0")
+    assert h.hexdigest() == "b1d003f231eb64c12f388b1a958017382d4b4f8368af1db3f258d5e9f73b9701"

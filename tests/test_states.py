@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import REF, physical_vectors
 from qcorr.errors import NonPhysical
@@ -13,6 +13,7 @@ from qcorr.states import (
     bd_to_xstate,
     bd_density_columns,
     bell_eigenvalues,
+    check_bd_columns,
     classify_region,
     density_to_bd,
     is_entangled_ppt,
@@ -115,6 +116,43 @@ def test_nonphysical_raises_with_eigenvalue():
 def test_non_finite_vector_raises(r):
     with pytest.raises(NonPhysical, match="not finite"):
         CorrelationVector(*r)
+
+
+def _alone(row) -> str | None:
+    """The message one state raises on its own, None when it is physical."""
+    try:
+        CorrelationVector(*row)
+    except NonPhysical as exc:
+        return str(exc)
+    return None
+
+
+_COMPONENT = st.one_of(st.floats(-1.2, 1.2), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@given(st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT), min_size=1, max_size=8))
+def test_bd_column_check_raises_what_its_first_failing_row_raises(rows):
+    expected = next((m for m in map(_alone, rows) if m is not None), None)
+    columns = np.array(rows, dtype=float).T
+    with np.errstate(invalid="ignore"):  # inf - inf in the eigenvalues
+        if expected is None:
+            check_bd_columns(*columns)
+            return
+        with pytest.raises(NonPhysical) as info:
+            check_bd_columns(*columns)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_bd_check_rejects_non_finite_components(axis, value):
+    row = [0.1, -0.2, 0.3]
+    row[axis] = value
+    with pytest.raises(NonPhysical, match="not finite"):
+        check_bd_columns(*row)
+    columns = np.array([[0.1, 0.2, 0.3], row, [2.0, 0.0, 0.0]]).T  # the last row fails too
+    with pytest.raises(NonPhysical, match="not finite"), np.errstate(invalid="ignore"):
+        check_bd_columns(*columns)
 
 
 def test_density_stack_matches_single_states():
