@@ -2,8 +2,9 @@
 
 These oracles validate every closed-form quantifier by direct search: a
 grid over the whole search box refined by zooming sub-grids that reuse the
-points they keep, with trace distances from eigenvalues of the operator
-difference, never an r-space shortcut.  Both searched functions,
+points they keep.  Every searched distance is measured on the operator
+difference, HS distances from its entries and trace distances from its
+eigenvalues, never by an r-space shortcut.  Both searched functions,
 ||rho - sigma(t)|| over an axis and ||rho_X - sigma_X(a, b)||_1 over the
 coherence moduli, are norms of affine maps and hence convex, so a coarse
 start grid followed by a zoom finds the minimum of a dense grid.  Oracles
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailure
-from .quantifiers import _STACK_BLOCK, Norm, square
+from .quantifiers import _STACK_BLOCK, Norm
 from .states import (
     SIGMA_PAIR,
     CorrelationVector,
@@ -54,7 +55,7 @@ def hs_operator_sq(delta: np.ndarray):
     """Squared Hilbert-Schmidt norm of an operator difference; a float for one
     matrix, an array for a stack of them (each summed over its own entries)."""
     delta = np.asarray(delta)
-    norms = (np.abs(delta) ** 2).reshape(delta.shape[:-2] + (-1,)).sum(axis=-1)
+    norms = (np.abs(delta) ** 2).sum(axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -131,52 +132,46 @@ def _grid_min(f, lo: np.ndarray, hi: np.ndarray, dims: int, refine_to: float):
 _PAIR_REAL = np.stack([op.real for op in SIGMA_PAIR])
 
 
-def _one(oracle, make, components, *args) -> OracleResult:
+def _one(oracle, make, components) -> OracleResult:
     """A columns oracle's (minimizer, distance, evaluations) for one state with
     the given components, as an OracleResult; make builds the minimizer."""
-    minimizer, distance, evaluations = oracle(*(np.array([v]) for v in components), *args)
+    minimizer, distance, evaluations = oracle(*(np.array([v]) for v in components))
     return OracleResult(make(*(col[0] for col in minimizer)), float(distance[0]), int(evaluations[0]))
 
 
-def closest_classical_columns(r1, r2, r3, norm: Norm) -> tuple:
-    """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t), for
-    each state of the columns r1, r2, r3.
+def closest_classical_columns(r1, r2, r3) -> dict:
+    """Closest point on the Cartesian axes (t, 0, 0), (0, t, 0), (0, 0, t), in
+    each norm, for each state of the columns r1, r2, r3.
 
-    Searches each axis t in [-1, 1] by grid zoom to 1e-8, all states and axes
-    in lockstep; ties go to the lowest axis.  HS distances are squared
-    Euclidean in r-space; trace distances are eigenvalue sums of the operator
-    difference rho(r) - rho(axis state t), diagonalized as real symmetric
-    matrices because Bell-diagonal density matrices are real.  Returns the
-    minimizer columns, the distances and the evaluations per state.
+    Searches each axis t in [-1, 1] by grid zoom to 1e-8, all norms, states
+    and axes in lockstep; ties go to the lowest axis.  Both norms measure the
+    operator difference rho(r) - rho(axis state t), a real symmetric matrix
+    because Bell-diagonal density matrices are real: HS distances are 4 times
+    its squared Hilbert-Schmidt norm, in the units of r-space, and trace
+    distances the sum of its absolute eigenvalues.  Returns, for each norm,
+    the minimizer columns, the distances and the evaluations per state.
     """
-    rv = np.stack([r1, r2, r3], axis=1)
-    n = len(rv)
-    if norm is Norm.HS:
-        sq = square(rv)
-        # squared distance of r to axis k, over the other two components
-        rest = np.stack([sq[:, 1] + sq[:, 2], sq[:, 0] + sq[:, 2], sq[:, 0] + sq[:, 1]], axis=1)
-        r_axis, rest = rv.ravel()[:, None], rest.ravel()[:, None]
+    # rho(r) - I/4: the identity parts of the difference cancel
+    base = bd_density_columns(r1, r2, r3).real - np.eye(4) / 4.0
+    n = len(base)
+    # search 3 n g + 3 i + k: norm g (HS first), state i, axis k
+    _, state, axis = np.unravel_index(np.arange(6 * n), (2, n, 3))
 
-        def f(active, t):
-            return (r_axis[active] - t) ** 2 + rest[active]
-    else:
-        # rho(r) - I/4: the identity parts of the difference cancel
-        base = bd_density_columns(r1, r2, r3).real - np.eye(4) / 4.0
-        state, axis = np.divmod(np.arange(3 * n), 3)  # search 3 i + k: state i, axis k
+    def f(active, t):
+        delta = base[state[active], None] - (t / 4.0)[:, :, None, None] * _PAIR_REAL[axis[active], None]
+        hs = np.searchsorted(active, 3 * n)  # active is ascending: its HS searches come first
+        return np.concatenate([4.0 * hs_operator_sq(delta[:hs]), trace_norm(delta[hs:])])
 
-        def f(active, t):
-            ops = _PAIR_REAL[axis[active], None]
-            return trace_norm(base[state[active], None] - (t / 4.0)[:, :, None, None] * ops)
-
-    t, vals, evals = _grid_min(f, np.full(3 * n, -1.0), np.full(3 * n, 1.0), 1, 1e-8)
-    vals, t = vals.reshape(n, 3), t.reshape(n, 3)
-    on_best = np.arange(3) == vals.argmin(axis=1)[:, None]
-    return tuple(np.where(on_best, t, 0.0).T), vals[on_best], evals.reshape(n, 3).sum(axis=1)
+    box = np.full(6 * n, 1.0)
+    t, vals, evals = (v.reshape(2, n, 3) for v in _grid_min(f, -box, box, 1, 1e-8))
+    on_best = np.arange(3) == vals.argmin(axis=2)[..., None]
+    return {norm: (tuple(np.where(on_best[g], t[g], 0.0).T), vals[g][on_best[g]], evals[g].sum(axis=1))
+            for g, norm in enumerate(Norm)}
 
 
 def closest_classical(r: CorrelationVector, norm: Norm) -> OracleResult:
-    """closest_classical_columns of one state."""
-    return _one(closest_classical_columns, CorrelationVector, (r.r1, r.r2, r.r3), norm)
+    """closest_classical_columns of one state, in the given norm."""
+    return _one(lambda *rv: closest_classical_columns(*rv)[norm], CorrelationVector, (r.r1, r.r2, r.r3))
 
 
 def closest_separable_hs_columns(r1, r2, r3) -> tuple:

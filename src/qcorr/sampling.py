@@ -65,11 +65,8 @@ def random_xstate_columns(rng: np.random.Generator, n: int) -> tuple:
 
     The draws go state by state, so the columns equal n random_xstate calls.
     """
-    exps, u = np.empty((n, 4)), np.empty((n, 4))
-    for i in range(n):
-        rng.standard_exponential(4, out=exps[i])
-        rng.random(4, out=u[i])
-    columns = _xstate_from_draws(exps, u)
+    draws = np.array([(rng.standard_exponential(4), rng.random(4)) for _ in range(n)]).reshape(n, 2, 4)
+    columns = _xstate_from_draws(draws[:, 0], draws[:, 1])
     check_xstate_columns(*columns)
     return columns
 

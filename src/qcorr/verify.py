@@ -81,6 +81,8 @@ def run_verification(
     detects a broken formula; extra_xstate adds one user-supplied state to the
     trace-distance/concurrence identity check.
     """
+    if seed < 0:
+        raise OutOfRange("seed: %d is below 0" % seed)
     # states per check: at most grid**3 lattice points, n_xstates, n_wootters
     for name, size, states in (("grid", grid, grid**3), ("xstates", n_xstates, n_xstates),
                                ("wootters", n_wootters, n_wootters)):
@@ -90,12 +92,13 @@ def run_verification(
         with allocation_guard("%s: size %d" % (name, size)):
             np.empty((states, 4, 4), dtype=complex)
     r = physical_grid(grid).T
+    classical = closest_classical_columns(*r)
     checks = [
-        _check("hs_discord_vs_closest_classical", closest_classical_columns(*r, Norm.HS),
+        _check("hs_discord_vs_closest_classical", classical[Norm.HS],
                hs_discord_columns(*r)[0] + (1e-3 if mutate else 0.0), CorrelationVector, r),
         _check("hs_entanglement_vs_closest_separable", closest_separable_hs_columns(*r),
                hs_entanglement_columns(*r), CorrelationVector, r),
-        _check("trace_discord_vs_closest_classical", closest_classical_columns(*r, Norm.TRACE),
+        _check("trace_discord_vs_closest_classical", classical[Norm.TRACE],
                trace_discord_columns(*r)[0], CorrelationVector, r),
     ]
 

@@ -67,7 +67,7 @@ def _report(num, name, ok, detail=""):
 
 def test_criterion_01_hs_oracle_equivalence():
     r = physical_grid(9).T
-    dev_d = np.abs(closest_classical_columns(*r, Norm.HS)[1] - hs_discord_columns(*r)[0]).max()
+    dev_d = np.abs(closest_classical_columns(*r)[Norm.HS][1] - hs_discord_columns(*r)[0]).max()
     dev_e = np.abs(closest_separable_hs_columns(*r)[1] - hs_entanglement_columns(*r)).max()
     _report(
         1,
@@ -79,7 +79,7 @@ def test_criterion_01_hs_oracle_equivalence():
 
 def test_criterion_02_trace_oracle_equivalence():
     r = physical_grid(9).T
-    dev = np.abs(closest_classical_columns(*r, Norm.TRACE)[1] - trace_discord_columns(*r)[0]).max()
+    dev = np.abs(closest_classical_columns(*r)[Norm.TRACE][1] - trace_discord_columns(*r)[0]).max()
     _report(2, "trace_oracle_equivalence", dev <= 1e-4, "dev=%.3e" % dev)
 
 

@@ -276,6 +276,13 @@ def test_verify_empty_sizes_exit2(sizes, tmp_path, capsys):
     assert stderr.startswith("ConfigError:") and stderr.count("\n") == 1
 
 
+def test_verify_negative_seed_exit2(tmp_path, capsys):
+    # numpy's generators take no negative seed: exit before the first draw
+    code, stdout, stderr = run(capsys, "verify", "--seed", "-1", "--grid", "1", "--out", str(tmp_path / "v.json"))
+    assert code == 2 and stdout == "" and not (tmp_path / "v.json").exists()
+    assert stderr == "ConfigError: seed: -1 is below 0\n"
+
+
 # each sweep option has valid values and broken ones; an argv breaks at most two
 _SWEEP_OPTIONS = {
     "--channel": (("pd", "bf", "bpf", "pf", "depol", "PD"), ("pd:0.3", "amp", "")),

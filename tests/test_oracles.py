@@ -16,14 +16,23 @@ from qcorr.oracles import (
     hs_operator_sq,
     trace_norm,
 )
-from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
-from qcorr.sampling import random_entangled_xstate_columns
+from qcorr.quantifiers import (
+    Norm,
+    concurrence_x,
+    hs_discord,
+    hs_discord_columns,
+    hs_entanglement,
+    trace_discord,
+    trace_discord_columns,
+)
+from qcorr.sampling import random_bd_vector, random_entangled_xstate_columns
 from qcorr.states import CorrelationVector, XState, bd_to_density, bd_to_xstate
 from qcorr.verify import TOLERANCES, physical_grid
 
 
 # searches per block in the tests that cross block boundaries; the library's
-# block of 1024 searches holds every check of a default verify in one block
+# blocks hold 1024 searches, so a default verify's 1494 classical searches
+# (both norms, 249 states, 3 axes) take two
 _BLOCK = 64
 
 
@@ -141,6 +150,18 @@ def test_oracle_equivalence_small_grid():
         )
 
 
+def test_classical_distances_match_the_closed_forms():
+    # both norms measure the operator difference; on these states each search
+    # lands on the closed form's value up to rounding
+    rng = np.random.default_rng(6)
+    dirichlet = np.array([random_bd_vector(rng).as_array() for _ in range(2000)])
+    for states in (physical_grid(9), dirichlet):
+        r = states.T
+        found = closest_classical_columns(*r)
+        assert np.abs(found[Norm.HS][1] - hs_discord_columns(*r)[0]).max() <= 1e-14
+        assert np.abs(found[Norm.TRACE][1] - trace_discord_columns(*r)[0]).max() <= 1e-14
+
+
 @settings(max_examples=10)
 @given(physical_vectors())
 def test_classical_oracle_property(r):
@@ -177,8 +198,10 @@ def test_xfamily_oracle_property(x):
 @pytest.mark.parametrize("norm", list(Norm))
 def test_classical_lockstep_matches_single_searches(norm, small_blocks):
     grid = physical_grid(5)
-    assert 3 * len(grid) > 2 * _BLOCK  # the state x axis searches fill several blocks
-    batched = _results(CorrelationVector, closest_classical_columns(*grid.T, norm))
+    # the norm x state x axis searches fill several blocks: some hold one
+    # norm's searches only (an empty stack for the other), one holds both
+    assert 3 * len(grid) % _BLOCK and 3 * len(grid) > 2 * _BLOCK
+    batched = _results(CorrelationVector, closest_classical_columns(*grid.T)[norm])
     assert list(map(repr, batched)) == [repr(closest_classical(r, norm)) for r in _grid_states(5)]
 
 
@@ -312,3 +335,10 @@ def test_hs_operator_sq_of_a_stack():
     assert isinstance(norms, np.ndarray) and norms.shape == (3, 5)
     assert norms.tolist() == [[hs_operator_sq(d) for d in row] for row in deltas]
     assert isinstance(hs_operator_sq(deltas[0, 0]), float)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (0, 5, 4, 4)])
+def test_operator_norms_of_an_empty_stack(shape):
+    for norm in (hs_operator_sq, trace_norm):
+        norms = norm(np.zeros(shape))
+        assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]

@@ -91,3 +91,11 @@ def test_entangled_bd_draws_are_pinned():
         for gap in (0.0, 0.0, 1e-3, 5e-3):
             h.update(repr(random_entangled_bd(rng, gap)).encode() + b"\0")
     assert h.hexdigest() == "b1d003f231eb64c12f388b1a958017382d4b4f8368af1db3f258d5e9f73b9701"
+
+
+def test_xstate_draws_are_pinned():
+    # the reprs of seven states' columns per seed, for seeds 0-99
+    h = hashlib.sha256()
+    for seed in range(100):
+        h.update(repr(random_xstate_columns(np.random.default_rng(seed), 7)).encode())
+    assert h.hexdigest() == "1881249c971d094af440a54e03e9e160f6cb3972bac6128cfb9c2a5bddb60061"
