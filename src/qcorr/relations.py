@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .channels import PRESERVED_AXIS, ChannelKind, evolved_vector, inverse_decay_p
+from .channels import PRESERVED_AXIS, ChannelKind, inverse_decay_p
 from .errors import (
     BranchUnknown,
     DegenerateOrdering,
@@ -186,6 +186,14 @@ def _p_in_window(channel: ChannelKind, g: float, g_sd: float, what: str) -> floa
     return inverse_decay_p(channel, min(g, 1.0))
 
 
+def _moduli(case: RelationCase, g: float) -> tuple[float, float, float]:
+    """Evolved moduli at decay factor g in canonical slots; a preserved slot keeps s_2.
+    Not validated: the channel maps the validated initial state to a physical one."""
+    s = case.frame.s
+    kept = s[2] * g if case.channel is ChannelKind.DEPOLARIZING else s[2]
+    return (s[0] * g, s[1] * g, kept)
+
+
 def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | None) -> float:
     """HS discord reconstructed from the HS entanglement on the active branch.
 
@@ -207,12 +215,11 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
     else:
         g = (root - s[2] + 1.0) / (s[0] + s[1])
     p = _p_in_window(channel, g, g_sd, "E")
-    v = evolved_vector(channel, case.initial, p)
-    d = hs_axis_distances(v.r1, v.r2, v.r3)
-    if d[idx] > min(d) + _WINDOW_TOL:
+    slot = perm.index(idx)
+    d = hs_axis_distances(*_moduli(case, g))
+    if d[slot] > min(d) + _WINDOW_TOL:
         raise WindowViolation("branch %s is not active at p = %.9g" % (branch, p))
     gsq = g * g
-    slot = perm.index(idx)
     if channel is ChannelKind.DEPOLARIZING or slot == 2:  # every other axis decays
         a, b = (s[k] for k in range(3) if k != slot)
         return (a ** 2 + b ** 2) * gsq
@@ -231,7 +238,7 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     if C < 0.0:
         raise OutOfRange("concurrence C = %g is negative" % C)
     channel = case.channel
-    perm, u, s, g_sd, branch = case.frame
+    perm, u, _, g_sd, branch = case.frame
     if not branch or g_sd is None:
         raise NotEntangled("initial state has zero concurrence")
     sign = -1.0 if branch == 1 else 1.0  # the pairing's sign: C1 -, C2 +
@@ -240,10 +247,8 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     else:
         g = (2.0 * C + abs(1.0 + sign * u[2])) / abs(u[1] + sign * u[0])
     p = _p_in_window(channel, g, g_sd, "C")
-    sv = evolved_vector(channel, case.initial, p).abs_triple()
-    if abs(sv[idx] - sorted(sv)[1]) > _WINDOW_TOL:
-        raise WindowViolation("piece %s is not active at p = %.9g" % (piece, p))
     slot = perm.index(idx)
-    if channel is not ChannelKind.DEPOLARIZING and slot == 2:
-        return s[2]
-    return s[slot] * g
+    w = _moduli(case, g)
+    if abs(w[slot] - sorted(w)[1]) > _WINDOW_TOL:
+        raise WindowViolation("piece %s is not active at p = %.9g" % (piece, p))
+    return w[slot]

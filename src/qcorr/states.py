@@ -148,13 +148,10 @@ class XState:
     f: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "e", complex(self.e))
-        object.__setattr__(self, "f", complex(self.f))
-        check_xstate_columns(self.a, self.b, self.c, self.d, self.e, self.f)
+        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
+        e, f = complex(self.e), complex(self.f)
+        self.__dict__.update(a=a, b=b, c=c, d=d, e=e, f=f)  # past the frozen __setattr__
+        check_xstate_columns(a, b, c, d, e, f)
 
     def to_density(self) -> np.ndarray:
         rho = x_density_columns(self.a, self.b, self.c, self.d, self.e, self.f)

@@ -127,6 +127,7 @@ def test_criterion_06_relation_identity():
         ChannelKind.PHASE_DAMPING,
         ChannelKind.BIT_FLIP,
         ChannelKind.BIT_PHASE_FLIP,
+        ChannelKind.PHASE_FLIP,
         ChannelKind.DEPOLARIZING,
     ):
         for r in states:

@@ -13,6 +13,7 @@ from qcorr.errors import (
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
 from qcorr.relations import (
     RelationCase,
+    _p_in_window,
     critical_times,
     hs_discord_from_entanglement,
     ordering,
@@ -156,18 +157,58 @@ def test_relation_errors():
         hs_discord_from_entanglement(0.1, case, None)
     with pytest.raises(BranchUnknown):
         trace_discord_from_concurrence(0.1, RelationCase(PD, Norm.TRACE, R0), None)
-    with pytest.raises(WindowViolation):
+    with pytest.raises(WindowViolation, match=r"^E exceeds its initial value \(factor .* > 1\)$"):
         # E larger than its initial value has no p in [0, p_SD]
         hs_discord_from_entanglement(1.0, case, branch="D1")
-    with pytest.raises(WindowViolation):
+    with pytest.raises(WindowViolation, match=r"^branch D3 is not active at p = 0$"):
         # branch D3 is only active beyond the sudden change
         hs_discord_from_entanglement(hs_entanglement(R0).value, case, branch="D3")
-    with pytest.raises(WindowViolation):
+    with pytest.raises(WindowViolation, match=r"^piece r1 is not active at p = 0$"):
+        # C(p = 0) = 0.31, where r2 holds the middle modulus
         trace_discord_from_concurrence(0.31, RelationCase(PD, Norm.TRACE, R0), piece="r1")
+    # a factor below g_SD needs E or C below zero, which OutOfRange rejects first,
+    # so this message is reached only through the window check itself
+    beyond = r"^C lies beyond sudden death \(factor 0\.1 < 0\.5\)$"
+    with pytest.raises(WindowViolation, match=beyond):
+        _p_in_window(PD, 0.1, 0.5, "C")
     with pytest.raises(NotEntangled):
         hs_discord_from_entanglement(
             0.0, RelationCase(PD, Norm.HS, CorrelationVector(0.2, 0.1, 0.05)), branch="D1"
         )
+
+
+@pytest.mark.parametrize("kind", [PD, BF, BPF, PF, DEP])
+def test_inverses_build_no_correlation_vector(kind, monkeypatch):
+    # E, C and the active labels along [0, p_SD], then both inverses on them,
+    # in and out of their windows, with every label
+    case_hs, case_tr = RelationCase(kind, Norm.HS, R0), RelationCase(kind, Norm.TRACE, R0)
+    ps = np.linspace(0.0, sudden_death_time(kind, R0), 9)
+    evolved = [evolved_vector(kind, R0, p) for p in ps]
+    es = [hs_entanglement(v).value for v in evolved] + [2.0]
+    cs = [concurrence_x(bd_to_xstate(v)).value for v in evolved] + [2.0]
+    case_hs.frame, case_tr.frame  # derived before counting
+    built = []
+    post_init = CorrelationVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CorrelationVector, "__post_init__", counted)
+    outcomes = []
+    for e, c in zip(es, cs):
+        for k in "123":
+            for fn, x, case, label in (
+                (hs_discord_from_entanglement, e, case_hs, "D" + k),
+                (trace_discord_from_concurrence, c, case_tr, "r" + k),
+            ):
+                try:
+                    outcomes.append(fn(x, case, label))
+                except WindowViolation:
+                    outcomes.append(None)
+    assert built == []
+    # both outcomes occur: the batch reached the window checks and the returns
+    assert 0 < outcomes.count(None) < len(outcomes) == 60
 
 
 def test_piecewise_examples():
