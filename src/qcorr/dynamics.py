@@ -51,7 +51,8 @@ class EventRecord:
 class Trajectory:
     """A sampled trajectory in columns: row k of every array belongs to p[k].
 
-    r holds the evolved correlation vectors (n x 3); branch_hs holds the HS
+    r holds the evolved correlation vectors (n x 3), row 0 the initial state
+    bit for bit (every decay factor is 1 at p = 0); branch_hs holds the HS
     discord labels D1..D3 and branch_tr the trace discord labels r1..r3.
     unmatched lists, per norm in order of p, the analytic sudden changes and
     the analytic sudden death in [0, p_max] that no detected event was matched
@@ -59,7 +60,6 @@ class Trajectory:
     crossing falls exactly on a detection row.
     """
 
-    initial: CorrelationVector
     p: np.ndarray
     r: np.ndarray
     e_hs: np.ndarray
@@ -147,7 +147,6 @@ def run_trajectory(
     concurrence, _ = concurrence_columns(*bd_xstate_columns(*r.T))
     d_tr, i_tr = trace_discord_columns(*r.T)
     traj = Trajectory(
-        initial=r0,
         p=p,
         r=r,
         e_hs=hs_entanglement_columns(*r.T),
@@ -173,22 +172,17 @@ def run_trajectory(
     def detected(kind: str, norm: Norm, x: float) -> EventRecord:
         return EventRecord(kind, norm, x, _match_analytic(x, analytic[kind, norm]))
 
-    def margin(x: float) -> float:
-        v = evolved_vector(channel, r0, x)
-        return octahedron_margin(v.r1, v.r2, v.r3)
+    def moduli(x: float) -> tuple[float, float, float]:
+        """The evolved moduli at x, which every event below is refined on."""
+        return evolved_vector(channel, r0, x).abs_triple()
 
     records = traj.event_records
     s = np.abs(r_rows)
     sign = np.sign(s[:, [0, 0, 1]] - s[:, [1, 2, 2]])
     for k, c in zip(*np.nonzero(sign[:-1] * sign[1:] < 0.0)):
         i, j = (0, 0, 1)[c], (1, 2, 2)[c]
-
-        def gap(x: float, i=i, j=j) -> float:
-            w = evolved_vector(channel, r0, x).abs_triple()
-            return w[j] - w[i]
-
-        p_star = _bisect(gap, float(rows[k]), float(rows[k + 1]))
-        m = evolved_vector(channel, r0, p_star).abs_triple()
+        p_star = _bisect(lambda x: (w := moduli(x))[j] - w[i], *rows[k:k + 2].tolist())
+        m = moduli(p_star)
         # an HS change too when the pair holds the largest modulus
         norms = Norm if m[3 - i - j] < min(m[i], m[j]) else (Norm.TRACE,)
         records += [detected(SUDDEN_CHANGE, norm, p_star) for norm in norms]
@@ -198,7 +192,8 @@ def run_trajectory(
     down = np.flatnonzero((margins[:-1] > 0.0) & (margins[1:] <= 0.0))
     if margins[0] > 0.0 and down.size:
         k = down[0]
-        p_star = _bisect(margin, float(rows[k]), float(rows[k + 1]), tol=1e-12)
+        # abs is exact, so the margin of the moduli is the margin of the vector
+        p_star = _bisect(lambda x: octahedron_margin(*moduli(x)), *rows[k:k + 2].tolist(), tol=1e-12)
         records += [detected(SUDDEN_DEATH, norm, p_star) for norm in Norm]
 
     matched = {(e.kind, e.norm, e.p_analytic) for e in records}
@@ -218,11 +213,8 @@ def d_vs_e_curve(traj: Trajectory, norm: Norm) -> tuple[np.ndarray, np.ndarray, 
     Under the trace norm the entanglement coordinate is the concurrence.
     Raises EmptyWindow when the initial state is separable.
     """
-    if traj.e_hs[0] <= 0.0:  # p[0] = 0, so this is the initial state's entanglement
-        raise EmptyWindow(
-            "initial state (%g, %g, %g) is separable"
-            % (traj.initial.r1, traj.initial.r2, traj.initial.r3)
-        )
+    if traj.e_hs[0] <= 0.0:  # row 0 is p = 0, the initial state itself
+        raise EmptyWindow("initial state (%g, %g, %g) is separable" % tuple(traj.r[0]))
     p_end = traj.death_p()
     n = len(traj.p) if p_end is None else np.searchsorted(traj.p, p_end + 1e-12, side="right")
     if norm is Norm.HS:

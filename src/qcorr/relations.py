@@ -150,7 +150,7 @@ def extrapolation_start(case: RelationCase) -> float:
     case, whose D(C) form is obtained by the same substitution but has no
     stated counterpart; flagged so downstream output can mark it.
     """
-    if case.channel is ChannelKind.DEPOLARIZING or case.norm is not Norm.TRACE:
+    if case.norm is not Norm.TRACE:
         return math.inf
     try:
         changes = critical_times(case).sudden_changes

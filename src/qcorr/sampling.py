@@ -26,9 +26,9 @@ def random_bd_vector(rng: np.random.Generator) -> CorrelationVector:
     )
 
 
-def random_entangled_bd(rng: np.random.Generator, min_gap: float = 0.0) -> CorrelationVector:
+def random_entangled_bd(rng: np.random.Generator, min_gap: float) -> CorrelationVector:
     """Entangled Bell-diagonal vector: octahedron margin above 1e-3, with the
-    moduli pairwise separated by at least min_gap when requested."""
+    moduli pairwise separated by at least min_gap (no condition when it is 0)."""
     for _ in range(100000):
         r = random_bd_vector(rng)
         s = sorted(r.abs_triple())

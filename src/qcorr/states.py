@@ -175,8 +175,8 @@ class XState:
 
 def check_xstate_columns(a, b, c, d, e, f) -> None:
     """Raise NonPhysical unless populations a, b, c, d and coherences e, f form
-    a physical X state: populations >= -EPS_PSD summing to 1 within 1e-9,
-    |e| <= sqrt(ad) and |f| <= sqrt(bc) within EPS_PSD.
+    a physical X state: all six finite, populations >= -EPS_PSD summing to 1
+    within 1e-9, |e| <= sqrt(ad) and |f| <= sqrt(bc) within EPS_PSD.
 
     Numbers check one state; equal-length arrays check one state per row, and
     the first failing row raises the message it raises on its own.
@@ -187,8 +187,11 @@ def check_xstate_columns(a, b, c, d, e, f) -> None:
     total = a + b + c + d
     abs_e, abs_f = _modulus(e), _modulus(f)
     bound_e, bound_f = _sqrt_clamped(a * d), _sqrt_clamped(b * c)
-    # Conditions that NaN fails; an infinite population fails the sum check.
+    values = (a, b, c, d, abs_e, abs_f)
+    # Conditions that NaN fails, the first of them also inf.
     checks = (
+        (np.logical_and.reduce([abs(v) < math.inf for v in values]),
+         "X state (a, b, c, d, |e|, |f|) = (%g, %g, %g, %g, %g, %g) is not finite", values),
         (low >= -EPS_PSD, "population %.6g is negative", (low,)),
         (abs(total - 1.0) <= 1e-9, "populations sum to %.12g, expected 1", (total,)),
         (abs_e <= bound_e + EPS_PSD, "|e| = %.6g exceeds sqrt(a*d) = %.6g", (abs_e, bound_e)),

@@ -163,12 +163,16 @@ def test_relate_reference(tmp_path, capsys):
     assert stdout.count("kink") == 2
 
 
-def test_relate_separable_exit4(tmp_path, capsys):
+@pytest.mark.parametrize("command", [("relate", "--norm", "hs"), ("curve",)], ids=["relate", "curve"])
+@pytest.mark.parametrize("state, shown", [("0.2,0.1,0.05", "0.2, 0.1, 0.05"), ("-0.0,0,1", "-0, 0, 1")],
+                         ids=["positive", "signed-zero"])
+def test_separable_state_exit4(tmp_path, capsys, command, state, shown):
+    # the line formats row 0 of the trajectory, which keeps the sign of a zero
     code, _, stderr = run(
-        capsys, "relate", "--channel", "pd", "--state", "0.2,0.1,0.05",
-        "--norm", "hs", "--out", str(tmp_path / "r.csv"),
+        capsys, *command, "--channel", "pd", "--state=" + state, "--out", str(tmp_path / "r.csv"),
     )
-    assert code == 4 and stderr.startswith("EmptyWindow:")
+    assert code == 4
+    assert stderr == "EmptyWindow: initial state (%s) is separable\n" % shown
 
 
 def test_relate_requires_single_norm(tmp_path, capsys):
@@ -231,6 +235,22 @@ def test_xstate_not_bell_diagonal(tmp_path, capsys):
         "--out", str(tmp_path / "t.csv"),
     )
     assert code == 2 and "a/d" in stderr
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ({"diag": [float("nan"), 0.25, 0.25, 0.25]}, "nan, 0.25, 0.25, 0.25, 0, 0"),
+    ({"e": [float("inf"), 0.0]}, "0.25, 0.25, 0.25, 0.25, inf, 0"),
+    ({"f": [0.0, -float("inf")]}, "0.25, 0.25, 0.25, 0.25, 0, inf"),
+], ids=["a-nan", "e-inf", "f-minus-inf"])
+def test_xstate_not_finite(tmp_path, capsys, entry, shown):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"diag": [0.25] * 4, "e": [0.0, 0.0], "f": [0.0, 0.0], **entry}))
+    code, _, stderr = run(
+        capsys, "simulate", "--channel", "pd", "--xstate", str(path),
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 3
+    assert stderr == "NonPhysical: X state (a, b, c, d, |e|, |f|) = (%s) is not finite\n" % shown
 
 
 def test_verify_small_and_exit_codes(tmp_path, capsys):

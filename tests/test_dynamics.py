@@ -185,6 +185,28 @@ def test_two_switches_in_one_cell_detected(kind, state, n_samples):
     assert len(_changes(traj, Norm.TRACE)) == (2 if kind is PD else 4)
 
 
+BELL_VERTICES = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 11, 1001])
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("vertex", BELL_VERTICES)
+def test_vertex_death_where_the_margin_touches_zero(vertex, kind, n_samples):
+    """From a Bell vertex, under every channel but depolarizing, the margin
+    2 g(p) falls to zero on a detection row, at p = 1 or at phase flip's
+    turning point 1/2, and does not cross it; that zero is the death."""
+    from qcorr.relations import sudden_death_time
+
+    r0 = CorrelationVector(*vertex)
+    traj = run_trajectory(kind, r0, 1.0, n_samples)
+    death = sudden_death_time(kind, r0)
+    assert [e.kind for e in traj.event_records] == [SUDDEN_DEATH] * 2
+    for norm in Norm:
+        [e] = _deaths(traj, norm)
+        assert e.p_analytic == death and abs(e.p_detected - death) <= 1e-6
+    assert traj.unmatched == []
+
+
 @functools.cache
 def _seeded_scan() -> list:
     """(state, channel, analytic death or None, trajectory) over 40 seeded

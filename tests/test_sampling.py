@@ -64,7 +64,7 @@ def _scalar_message(row) -> str:
     "corrupt",
     [
         {1: ("a", -0.1)},  # negative population, and a sum off 1
-        {2: ("b", np.nan)},  # NaN after the first population: the sum check names it
+        {2: ("b", np.nan)},  # NaN after the first population: the finite check names it
         {3: ("d", 0.9)},  # sum off 1
         {2: ("e", 1.0)},  # |e| beyond sqrt(a d)
         {4: ("f", 0.5j), 1: ("e", 1.0)},  # the first failing row raises

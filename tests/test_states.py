@@ -14,6 +14,7 @@ from qcorr.states import (
     bd_density_columns,
     bell_eigenvalues,
     check_bd_columns,
+    check_xstate_columns,
     classify_region,
     density_to_bd,
     is_entangled_ppt,
@@ -249,6 +250,28 @@ def test_xstate_invariants():
                 (0.25, 0.25, 0.25, 0.25, 0, complex(np.inf, 0))):
         with pytest.raises(NonPhysical):
             XState(*bad)
+
+
+_X_OK = (0.4, 0.1, 0.2, 0.3, 0.1 + 0.05j, 0.05j)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", range(6), ids=list("abcdef"))
+def test_xstate_rejects_non_finite_entries(slot, value):
+    row = list(_X_OK)
+    row[slot] = value
+    shown = [abs(v) if k >= 4 else v for k, v in enumerate(row)]
+    message = "X state (a, b, c, d, |e|, |f|) = (%g, %g, %g, %g, %g, %g) is not finite" % tuple(shown)
+    with pytest.raises(NonPhysical) as info:
+        XState(*row)
+    assert str(info.value) == message
+    # the failing row sits between a physical one and one whose sum is off
+    columns = [np.array([ok, bad, ok], dtype=complex if k >= 4 else float)
+               for k, (ok, bad) in enumerate(zip(_X_OK, row))]
+    columns[3][2] = 0.9
+    with pytest.raises(NonPhysical) as info:
+        check_xstate_columns(*columns)
+    assert str(info.value) == message
 
 
 def test_json_round_trips():
