@@ -46,6 +46,15 @@ PRESERVED_AXIS = {
     ChannelKind.DEPOLARIZING: None,
 }
 
+# Rate c of the factor g = (1 - c p)^2 by which every other axis decays.
+DECAY_RATE = {
+    ChannelKind.PHASE_DAMPING: 1.0,
+    ChannelKind.BIT_FLIP: 1.0,
+    ChannelKind.BIT_PHASE_FLIP: 1.0,
+    ChannelKind.PHASE_FLIP: 2.0,
+    ChannelKind.DEPOLARIZING: 1.0,
+}
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -114,12 +123,12 @@ def apply_local_pair(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
 def decay_factors(kind: ChannelKind, p) -> tuple:
     """Per-axis scale factors of the two-qubit correlation vector.
 
-    Every axis decays by (1 - p)^2, or (1 - 2p)^2 under phase flip, except the
+    Every axis decays by (1 - c p)^2, c = DECAY_RATE[kind], except the
     preserved one, whose factor is 1.0.  p may be an array; the decaying
     factors then are arrays of its shape.
     """
     p = _check_p(p)
-    g = square(1.0 - 2.0 * p if kind is ChannelKind.PHASE_FLIP else 1.0 - p)
+    g = square(1.0 - DECAY_RATE[kind] * p)
     keep = PRESERVED_AXIS[kind]
     return (1.0 if keep == 0 else g, 1.0 if keep == 1 else g, 1.0 if keep == 2 else g)
 
@@ -133,22 +142,19 @@ def evolved_vector(kind: ChannelKind, r: CorrelationVector, p: float) -> Correla
 def monotone_p_max(kind: ChannelKind) -> float:
     """Upper end of the p-interval on which the decay factors are non-increasing.
 
-    The phase-flip factor (1 - 2p)^2 shrinks only up to p = 1/2 and grows back
-    afterwards; the other four channels are monotone on all of [0, 1].
+    The factor (1 - c p)^2 shrinks up to its root p = 1/c and grows back
+    afterwards, which inside [0, 1] happens only under phase flip (c = 2).
     dynamics.run_trajectory detects events on a grid that holds this point, so
     that every modulus difference |r_i| - |r_j| is monotone between two rows.
     """
-    return 0.5 if kind is ChannelKind.PHASE_FLIP else 1.0
+    return 1.0 / DECAY_RATE[kind]
 
 
 def inverse_decay_p(kind: ChannelKind, g: float) -> float:
     """First p in the monotone domain at which the decaying factor equals g."""
     if not 0.0 <= g <= 1.0:
         raise OutOfRange("decay factor g = %g outside [0, 1]" % g)
-    root = math.sqrt(g)
-    if kind is ChannelKind.PHASE_FLIP:
-        return (1.0 - root) / 2.0
-    return 1.0 - root
+    return (1.0 - math.sqrt(g)) / DECAY_RATE[kind]
 
 
 def parse_channel_spec(spec: str) -> ChannelKind:

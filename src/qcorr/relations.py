@@ -1,10 +1,11 @@
 """Direct discord-entanglement relations and analytic critical times.
 
-For the dephasing-type channels (phase damping, bit flip, bit-phase flip,
-phase flip) one correlation axis is preserved while the other two decay by a
-common factor g(p); writing the initial state in a channel-canonical order
-(decaying axes first, preserved axis last) reduces every case to the phase
-damping analysis.  Under depolarizing noise all three axes share the factor.
+Each channel decays the correlation axes it does not preserve by a common
+factor g(p); writing the initial state in a channel-canonical order (decaying
+axes first, preserved axis last) reduces every case to one analysis, in which
+slots [0, n) decay and slots [n, 3) are kept: n = 2 for the dephasing-type
+channels (phase damping, bit flip, bit-phase flip, phase flip) and n = 3
+under depolarizing noise, which preserves no axis.
 
 The relation functions invert the entanglement (HS norm) or the concurrence
 (trace norm) for g(p) and substitute it into the active discord branch, so
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .channels import PRESERVED_AXIS, ChannelKind, inverse_decay_p
+from .channels import PRESERVED_AXIS, ChannelKind, inverse_decay_p, monotone_p_max
 from .errors import (
     BranchUnknown,
     DegenerateOrdering,
@@ -69,15 +70,17 @@ def ordering(r: CorrelationVector) -> tuple[int, int, int]:
 
 class Frame(NamedTuple):
     """The initial state in the channel-canonical order: perm maps canonical
-    slot to original axis, u holds the components and s their moduli.  g_sd is
-    the decay factor at which the evolved state reaches the octahedron (None
-    when it is separable); branch is the winning concurrence branch of u:
+    slot to original axis, u holds the components and s their moduli, of
+    which slots [0, n) decay and slots [n, 3) are preserved.  g_sd is the
+    decay factor at which the evolved state reaches the octahedron (None when
+    it is separable); branch is the winning concurrence branch of u:
     1 (C1), 2 (C2) or 0 (C = 0).
     """
 
     perm: tuple[int, int, int]
     u: tuple[float, float, float]
     s: tuple[float, float, float]
+    n: int
     g_sd: float | None
     branch: int
 
@@ -86,18 +89,15 @@ def canonical_frame(channel: ChannelKind, r: CorrelationVector) -> Frame:
     """The Frame of r under the channel; RelationCase.frame caches it per case."""
     # canonical slot -> original axis: the decaying axes in ascending order,
     # then the preserved axis (a stable sort on "is preserved")
-    perm = tuple(sorted(range(3), key=lambda k: k == PRESERVED_AXIS[channel]))
+    keep = PRESERVED_AXIS[channel]
+    perm = tuple(sorted(range(3), key=lambda k: k == keep))
+    n = 3 if keep is None else 2
     rv = (r.r1, r.r2, r.r3)
     u = tuple(rv[j] for j in perm)
     s = tuple(abs(v) for v in u)
-    if octahedron_margin(*u) <= 0.0:
-        g_sd = None
-    elif channel is ChannelKind.DEPOLARIZING:
-        g_sd = 1.0 / sum(s)
-    else:
-        g_sd = (1.0 - s[2]) / (s[0] + s[1])
+    g_sd = (1.0 - sum(s[n:])) / sum(s[:n]) if octahedron_margin(*u) > 0.0 else None
     _, branch = concurrence_columns(*bd_xstate_columns(*u))
-    return Frame(perm, u, s, g_sd, branch)
+    return Frame(perm, u, s, n, g_sd, branch)
 
 
 def sudden_death_time(channel: ChannelKind, r: CorrelationVector) -> float:
@@ -110,35 +110,31 @@ def sudden_death_time(channel: ChannelKind, r: CorrelationVector) -> float:
 
 
 def _mirrored(channel: ChannelKind, p: float) -> list[float]:
-    """A crossing of the decay factor and, for phase flip, its mirror image
-    on the rising side of (1 - 2p)^2."""
-    if channel is ChannelKind.PHASE_FLIP and 0.0 < p < 0.5:
-        return [p, 1.0 - p]
-    return [p]
+    """A crossing of the decay factor and, when it lies in (p, 1], its mirror
+    image about the factor's root, on the rising side of (1 - c p)^2."""
+    mirror = 2.0 * monotone_p_max(channel) - p
+    return [p, mirror] if 0.0 < p < mirror <= 1.0 else [p]
 
 
 @lru_cache(maxsize=4096)
 def critical_times(case: RelationCase) -> CriticalTimes:
     """Sudden-change times of the discord and the sudden-death time.
 
-    Dephasing-type channels: the HS discord switches branch when the dominant
-    decaying component crosses the preserved one; the trace discord switches
-    whenever a decaying component crosses it.  Depolarizing dynamics never
-    exhibits a sudden change.  Orderings with coinciding |r_i| are rejected.
+    The HS discord switches branch when the dominant decaying component
+    crosses a preserved one; the trace discord switches whenever a decaying
+    component crosses it.  Depolarizing noise preserves no component, so its
+    dynamics never exhibits a sudden change.  Orderings with coinciding |r_i|
+    are rejected.
     """
     ordering(case.initial)
     channel = case.channel
-    s, g_sd = case.frame.s, case.frame.g_sd
+    _, _, s, n, g_sd, _ = case.frame
+    decaying = s[:n] if case.norm is Norm.TRACE else (max(s[:n]),)
     changes: list[float] = []
-    if channel is not ChannelKind.DEPOLARIZING:
-        if case.norm is Norm.HS:
-            smax = max(s[0], s[1])
-            if smax > s[2] > 0.0:
-                changes += _mirrored(channel, inverse_decay_p(channel, s[2] / smax))
-        else:
-            for si in (s[0], s[1]):
-                if si > s[2] > 0.0:
-                    changes += _mirrored(channel, inverse_decay_p(channel, s[2] / si))
+    for kept in s[n:]:
+        for si in decaying:
+            if si > kept > 0.0:
+                changes += _mirrored(channel, inverse_decay_p(channel, kept / si))
     death = None if g_sd is None else inverse_decay_p(channel, g_sd)
     return CriticalTimes(sudden_changes=tuple(sorted(changes)), sudden_death=death)
 
@@ -187,40 +183,34 @@ def _p_in_window(channel: ChannelKind, g: float, g_sd: float, what: str) -> floa
 
 
 def _moduli(case: RelationCase, g: float) -> tuple[float, float, float]:
-    """Evolved moduli at decay factor g in canonical slots; a preserved slot keeps s_2.
+    """Evolved moduli at decay factor g in canonical slots; slots from n on keep s.
     Not validated: the channel maps the validated initial state to a physical one."""
-    s = case.frame.s
-    kept = s[2] * g if case.channel is ChannelKind.DEPOLARIZING else s[2]
-    return (s[0] * g, s[1] * g, kept)
+    _, _, s, n, _, _ = case.frame
+    return (s[0] * g, s[1] * g, s[2] * g if n == 3 else s[2])
 
 
 def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | None) -> float:
     """HS discord reconstructed from the HS entanglement on the active branch.
 
-    Inverts E = ((s1 + s2) g + s3 - 1)^2 / 3 (dephasing-type; all-axes sum for
-    depolarizing) for the decay factor g and evaluates the branch's distance
-    to the corresponding axis.  Valid for p in [0, p_SD] on the branch's own
-    window; outside it WindowViolation is raised.
+    Inverts E = (g sum(s[:n]) + sum(s[n:]) - 1)^2 / 3, over the frame's
+    decaying and preserved moduli, for the decay factor g and evaluates the
+    branch's distance to the corresponding axis.  Valid for p in [0, p_SD] on
+    the branch's own window; outside it WindowViolation is raised.
     """
     idx = _branch_index(branch, HS_LABELS)
     if E < 0.0:
         raise OutOfRange("entanglement E = %g is negative" % E)
-    channel = case.channel
-    perm, _, s, g_sd, _ = case.frame
+    perm, _, s, n, g_sd, _ = case.frame
     if g_sd is None:  # read before dividing: (0, 0, 0) has no decaying components
         raise NotEntangled("initial state is separable")
-    root = (3.0 * E) ** 0.5
-    if channel is ChannelKind.DEPOLARIZING:
-        g = (root + 1.0) / sum(s)
-    else:
-        g = (root - s[2] + 1.0) / (s[0] + s[1])
-    p = _p_in_window(channel, g, g_sd, "E")
+    g = ((3.0 * E) ** 0.5 - sum(s[n:]) + 1.0) / sum(s[:n])
+    p = _p_in_window(case.channel, g, g_sd, "E")
     slot = perm.index(idx)
     d = hs_axis_distances(*_moduli(case, g))
     if d[slot] > min(d) + _WINDOW_TOL:
         raise WindowViolation("branch %s is not active at p = %.9g" % (branch, p))
     gsq = g * g
-    if channel is ChannelKind.DEPOLARIZING or slot == 2:  # every other axis decays
+    if slot == 2 or n == 3:  # every other slot decays
         a, b = (s[k] for k in range(3) if k != slot)
         return (a ** 2 + b ** 2) * gsq
     return s[1 - slot] ** 2 * gsq + s[2] ** 2
@@ -237,16 +227,15 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     idx = _branch_index(piece, TRACE_LABELS)
     if C < 0.0:
         raise OutOfRange("concurrence C = %g is negative" % C)
-    channel = case.channel
-    perm, u, _, g_sd, branch = case.frame
+    perm, u, _, n, g_sd, branch = case.frame
     if not branch or g_sd is None:
         raise NotEntangled("initial state has zero concurrence")
     sign = -1.0 if branch == 1 else 1.0  # the pairing's sign: C1 -, C2 +
-    if channel is ChannelKind.DEPOLARIZING:
-        g = (2.0 * C + 1.0) / (abs(u[0] + sign * u[1]) - sign * u[2])
-    else:
-        g = (2.0 * C + abs(1.0 + sign * u[2])) / abs(u[1] + sign * u[0])
-    p = _p_in_window(channel, g, g_sd, "C")
+    # kept: the preserved u2, or 0 when every slot decays; 1 + sign * kept >= 0
+    # for a physical state, so the pairing's |1 -/+ u3| needs no abs
+    kept = sum(u[n:])
+    g = (2.0 * C + (1.0 + sign * kept)) / (abs(u[0] + sign * u[1]) - sign * (u[2] - kept))
+    p = _p_in_window(case.channel, g, g_sd, "C")
     slot = perm.index(idx)
     w = _moduli(case, g)
     if abs(w[slot] - sorted(w)[1]) > _WINDOW_TOL:

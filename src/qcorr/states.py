@@ -184,9 +184,10 @@ def check_xstate_columns(a, b, c, d, e, f) -> None:
     low = a  # min(a, b, c, d) in the order of Python's min, NaN included
     for pop in (b, c, d):
         low = _where(pop < low, pop, low)
-    total = a + b + c + d
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 give NaN, reported as not finite
+        total = a + b + c + d
+        bound_e, bound_f = _sqrt_clamped(a * d), _sqrt_clamped(b * c)
     abs_e, abs_f = _modulus(e), _modulus(f)
-    bound_e, bound_f = _sqrt_clamped(a * d), _sqrt_clamped(b * c)
     values = (a, b, c, d, abs_e, abs_f)
     # Conditions that NaN fails, the first of them also inf.
     checks = (

@@ -8,6 +8,7 @@ from qcorr.channels import (
     apply_local_pair,
     decay_factors,
     evolved_vector,
+    inverse_decay_p,
     kraus_for,
     monotone_p_max,
     parse_channel_spec,
@@ -95,6 +96,17 @@ def test_decay_factors_monotone(kind):
     factors = np.array([decay_factors(kind, p) for p in ps])
     assert (np.diff(factors, axis=0) <= 1e-15).all()
 
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_inverse_decay_p_inverts_the_decaying_factor(kind):
+    p_max = monotone_p_max(kind)
+    for p in np.linspace(0.0, p_max, 101).tolist():
+        g = min(decay_factors(kind, p))  # a decaying axis; the preserved one reads 1.0
+        assert abs(inverse_decay_p(kind, g) - p) <= 1e-15
+    # the factor reaches 0 at the end of the monotone domain
+    assert min(decay_factors(kind, p_max)) == 0.0
+    assert inverse_decay_p(kind, 0.0) == p_max
 
 def test_parse_channel_spec():
     assert parse_channel_spec("pd") == ChannelKind.PHASE_DAMPING

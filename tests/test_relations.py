@@ -73,6 +73,21 @@ def test_critical_times_swapped_channels():
     np.testing.assert_allclose(ct.sudden_changes, [P_I, P_II], atol=1e-15)
 
 
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_phase_flip_mirrors_each_phase_damping_crossing(norm):
+    # both channels preserve axis 3; (1 - 2p)^2 meets the ratio phase damping's
+    # (1 - p)^2 meets at half its p, and again at 1 - p on the rising side
+    rng = np.random.default_rng(7)
+    for r in [R0] + [random_entangled_bd(rng, min_gap=1e-3) for _ in range(20)]:
+        pd = critical_times(RelationCase(PD, norm, r)).sudden_changes
+        pf = critical_times(RelationCase(PF, norm, r)).sudden_changes
+        assert len(pf) == 2 * len(pd)
+        k = len(pd)
+        assert pf[:k] == tuple(p / 2.0 for p in pd)
+        assert pf[k:] == tuple(1.0 - p for p in reversed(pf[:k]))
+    assert len(critical_times(RelationCase(PF, norm, R0)).sudden_changes) == (4 if norm is Norm.TRACE else 2)
+
 def test_cross_norm_alignment():
     # the trace-norm change times contain the HS one exactly
     tr = critical_times(RelationCase(PD, Norm.TRACE, R0))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -273,6 +275,23 @@ def test_xstate_rejects_non_finite_entries(slot, value):
         check_xstate_columns(*columns)
     assert str(info.value) == message
 
+
+
+@pytest.mark.parametrize(
+    "infinite",
+    [{"a": np.inf, "d": 0.0},  # inf * 0 in sqrt(a*d)
+     {"a": np.inf, "b": -np.inf}],  # inf - inf in the population sum
+    ids=["product", "sum"],
+)
+def test_xstate_column_check_reports_non_finite_without_numpy_warnings(infinite):
+    columns = {k: np.array([0.25, 0.25]) for k in "abcd"}
+    columns.update(e=np.zeros(2, dtype=complex), f=np.zeros(2, dtype=complex))
+    for name, value in infinite.items():
+        columns[name][1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPhysical, match="is not finite"):
+            check_xstate_columns(*columns.values())
 
 def test_json_round_trips():
     r = CorrelationVector(*REF)
