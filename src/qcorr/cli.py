@@ -62,8 +62,9 @@ def _load_xstate(path: str) -> XState:
         raise ConfigError("xstate: malformed file %r (%s)" % (path, exc)) from None
 
 
-def _xstate_to_bd(x: XState) -> CorrelationVector:
-    """Convert a Bell-diagonal-form X state to its correlation vector."""
+def _load_bd_xstate(path: str) -> CorrelationVector:
+    """The correlation vector of the Bell-diagonal-form X state in a JSON file."""
+    x = _load_xstate(path)
     for name, lhs, rhs in (("a/d", x.a, x.d), ("b/c", x.b, x.c)):
         if abs(lhs - rhs) > 1e-9:
             raise ConfigError("xstate: populations %s differ; state is not Bell-diagonal" % name)
@@ -75,16 +76,6 @@ def _xstate_to_bd(x: XState) -> CorrelationVector:
         2.0 * (x.f.real - x.e.real),
         2.0 * (x.a + x.d) - 1.0,
     )
-
-
-def _initial_state(args) -> CorrelationVector:
-    if args.state is not None and args.xstate is not None:
-        raise ConfigError("state/xstate: give exactly one of --state and --xstate")
-    if args.state is not None:
-        return _parse_state(args.state)
-    if args.xstate is not None:
-        return _xstate_to_bd(_load_xstate(args.xstate))
-    raise ConfigError("state: one of --state or --xstate is required")
 
 
 def _write_events(traj, out_csv: str) -> None:
@@ -122,9 +113,7 @@ def _write_columns(path: str, header: str, columns) -> None:
 
 
 def cmd_simulate(args) -> int:
-    kind = parse_channel_spec(args.channel)
-    r0 = _initial_state(args)
-    traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
+    traj = run_trajectory(args.channel, args.r0, p_max=args.pmax, n_samples=args.samples)
     _write_columns(
         args.out,
         "p,r1,r2,r3,E_hs,D_hs,C,D_tr,branch_hs,branch_tr",
@@ -137,12 +126,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    kind = parse_channel_spec(args.channel)
     norm = Norm(args.norm)
-    r0 = _initial_state(args)
-    traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
+    traj = run_trajectory(args.channel, args.r0, p_max=args.pmax, n_samples=args.samples)
     ent, disc, branch = d_vs_e_curve(traj, norm)
-    start = extrapolation_start(RelationCase(kind, norm, r0))
+    start = extrapolation_start(RelationCase(args.channel, norm, args.r0))
     extrapolated = np.where(traj.p[: len(ent)] > start, "true", "false")
     _write_columns(args.out, "E,D,branch,extrapolated", [ent, disc, branch, extrapolated])
     for e in traj.event_records + traj.unmatched:  # unmatched: analytic events that no detection matched
@@ -153,9 +140,7 @@ def cmd_relate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    kind = parse_channel_spec(args.channel)
-    r0 = _initial_state(args)
-    traj = run_trajectory(kind, r0, p_max=args.pmax, n_samples=args.samples)
+    traj = run_trajectory(args.channel, args.r0, p_max=args.pmax, n_samples=args.samples)
     hs = d_vs_e_curve(traj, Norm.HS)
     tr = d_vs_e_curve(traj, Norm.TRACE)
     p = traj.p[: len(hs[0])]
@@ -164,17 +149,11 @@ def cmd_curve(args) -> int:
     return 0
 
 
-# verify's size options and the run_verification arguments they set
-_VERIFY_SIZES = {"seed": "seed", "grid": "grid", "xstates": "n_xstates", "wootters": "n_wootters"}
-
-
 def cmd_verify(args) -> int:
     if args.out is not None and not Path(args.out).parent.is_dir():
         raise ConfigError("out: directory of %r does not exist" % args.out)
-    extra = _load_xstate(args.xstate) if args.xstate is not None else None
-    # the sizes given on the command line; the others keep run_verification's defaults
-    sizes = {k: v for k, v in vars(args).items() if k in _VERIFY_SIZES.values()}
-    report = run_verification(**sizes, mutate=args.mutate, extra_xstate=extra)
+    report = run_verification(seed=args.seed, grid=args.grid, n_xstates=args.xstates,
+                              n_wootters=args.wootters, mutate=args.mutate, extra_xstate=args.xstate)
     text = report_to_json(report)
     if args.out is not None:
         Path(args.out).write_text(text)
@@ -196,9 +175,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p):
-        p.add_argument("--channel", required=True, help="pd | bf | bpf | pf | depol")
-        p.add_argument("--state", help="correlation vector r1,r2,r3")
-        p.add_argument("--xstate", help="path to an X-state JSON file")
+        p.add_argument("--channel", required=True, type=parse_channel_spec, help="pd | bf | bpf | pf | depol")
+        state = p.add_mutually_exclusive_group(required=True)
+        state.add_argument("--state", dest="r0", metavar="STATE", type=_parse_state,
+                           help="correlation vector r1,r2,r3")
+        state.add_argument("--xstate", dest="r0", metavar="XSTATE", type=_load_bd_xstate,
+                           help="path to an X-state JSON file")
         p.add_argument("--pmax", type=float, default=1.0)
         p.add_argument("--samples", type=int, default=1001)
         p.add_argument("--out", required=True, help="output CSV path")
@@ -217,10 +199,10 @@ def build_parser() -> _Parser:
     p_cur.set_defaults(func=cmd_curve)
 
     p_ver = sub.add_parser("verify", help="oracle-vs-closed-form verification report")
-    for option, name in _VERIFY_SIZES.items():
-        p_ver.add_argument("--" + option, dest=name, metavar=option.upper(), type=int,
-                           default=argparse.SUPPRESS)
-    p_ver.add_argument("--xstate", help="extra X-state JSON for the trace-distance identity check")
+    for option, default in (("--seed", 42), ("--grid", 9), ("--xstates", 1000), ("--wootters", 10000)):
+        p_ver.add_argument(option, type=int, default=default)
+    p_ver.add_argument("--xstate", type=_load_xstate,
+                       help="extra X-state JSON for the trace-distance identity check")
     p_ver.add_argument("--out", help="report JSON path (default: stdout)")
     p_ver.add_argument("--mutate", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)

@@ -111,8 +111,8 @@ def _evolve(channel: ChannelKind, rs: np.ndarray, p: np.ndarray) -> np.ndarray:
 def run_trajectory(
     channel: ChannelKind,
     r0: CorrelationVector,
-    p_max: float = 1.0,
-    n_samples: int = 1001,
+    p_max: float,
+    n_samples: int,
 ) -> Trajectory:
     """Sample the evolution on a uniform p-grid and detect all events.
 

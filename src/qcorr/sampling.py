@@ -13,8 +13,6 @@ import numpy as np
 from .quantifiers import concurrence_columns
 from .states import CorrelationVector, XState, check_xstate_columns, octahedron_margin
 
-DEFAULT_SEED = 42
-
 
 def random_bd_vector(rng: np.random.Generator) -> CorrelationVector:
     """Uniform sample of the Bell-diagonal tetrahedron."""

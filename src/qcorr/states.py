@@ -81,12 +81,12 @@ def check_bd_columns(r1, r2, r3) -> None:
     Numbers check one state; equal-length arrays check one state per row, and
     the first failing row raises the message it raises on its own.
     """
-    inside = in_tetrahedron(r1, r2, r3)
-    if isinstance(inside, np.ndarray):
-        k = _leading(inside)
-        if k < len(inside):
+    if isinstance(r1, np.ndarray):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+            k = _leading(in_tetrahedron(r1, r2, r3))
+        if k < len(r1):
             check_bd_columns(float(r1[k]), float(r2[k]), float(r3[k]))
-    elif not inside:
+    elif not in_tetrahedron(r1, r2, r3):
         if not all(np.isfinite((r1, r2, r3))):
             raise NonPhysical("correlation vector (%g, %g, %g) is not finite" % (r1, r2, r3))
         raise NonPhysical("eigenvalue %.6g of correlation vector (%g, %g, %g) is negative"

@@ -27,7 +27,7 @@ from .quantifiers import (
     wootters_concurrence,
 )
 from .errors import OutOfRange, allocation_guard
-from .sampling import DEFAULT_SEED, random_entangled_xstate_columns, random_xstate_columns
+from .sampling import random_entangled_xstate_columns, random_xstate_columns
 from .states import CorrelationVector, XState, in_tetrahedron, x_density_columns
 
 TOLERANCES = {
@@ -68,10 +68,10 @@ def _check(measure, found, closed_form, make, columns) -> dict:
 
 
 def run_verification(
-    seed: int = DEFAULT_SEED,
-    grid: int = 9,
-    n_xstates: int = 1000,
-    n_wootters: int = 10000,
+    seed: int,
+    grid: int,
+    n_xstates: int,
+    n_wootters: int,
     mutate: bool = False,
     extra_xstate: XState | None = None,
 ) -> dict:

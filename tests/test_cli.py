@@ -253,6 +253,30 @@ def test_xstate_not_finite(tmp_path, capsys, entry, shown):
     assert stderr == "NonPhysical: X state (a, b, c, d, |e|, |f|) = (%s) is not finite\n" % shown
 
 
+@pytest.mark.parametrize("state, message", [
+    ((), "one of the arguments --state --xstate is required"),
+    (("--state", "0.1,0.2,0.3", "--xstate"), "argument --xstate: not allowed with argument --state"),
+], ids=["neither", "both"])
+def test_state_selection_exit2(tmp_path, capsys, state, message):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(bd_to_xstate(CorrelationVector(*REF)).to_json()))
+    out = tmp_path / "x.csv"
+    argv = (*state, str(path)) if state else ()
+    code, stdout, stderr = run(capsys, "simulate", "--channel", "pd", *argv, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", "ConfigError: %s\n" % message) and not out.exists()
+
+
+def test_parser_reads_typed_inputs_and_verify_defaults():
+    from qcorr.channels import ChannelKind
+
+    args = build_parser().parse_args(["simulate", "--channel", "PD", "--state", STATE, "--out", "t.csv"])
+    assert args.channel is ChannelKind.PHASE_DAMPING
+    assert isinstance(args.r0, CorrelationVector) and args.r0 == CorrelationVector(*REF)
+    args = build_parser().parse_args(["verify"])
+    assert (args.seed, args.grid, args.xstates, args.wootters) == (42, 9, 1000, 10000)
+    assert args.xstate is None and args.out is None and args.mutate is False
+
+
 def test_verify_small_and_exit_codes(tmp_path, capsys):
     out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
     argv = ["verify", "--seed", "7", "--grid", "5", "--xstates", "10", "--wootters", "50"]
