@@ -20,7 +20,6 @@ from .dynamics import (
 )
 from .errors import (
     BranchUnknown,
-    DegenerateOrdering,
     EmptyWindow,
     NonPhysical,
     NotEntangled,
@@ -56,7 +55,6 @@ from .relations import (
     RelationCase,
     critical_times,
     hs_discord_from_entanglement,
-    ordering,
     sudden_death_time,
     trace_discord_from_concurrence,
 )

@@ -30,8 +30,8 @@ from .verify import report_to_json, run_verification
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # accept "-0.7,-0.7,-0.7" as an option value, not an option name
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        # accept "-0.7,-0.7,-0.7" and "-inf,0,0" as option values, not option names
+        self._negative_number_matcher = re.compile(r"^-([\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # single-line diagnostics instead of usage dumps
         raise ConfigError(message)

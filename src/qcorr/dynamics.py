@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind, decay_factors, evolved_vector, monotone_p_max
-from .errors import DegenerateOrdering, EmptyWindow, NonPhysical, NotEntangled, OutOfRange, allocation_guard
+from .errors import EmptyWindow, NonPhysical, OutOfRange, allocation_guard
 from .oracles import hs_operator_sq, trace_norm
 from .quantifiers import (
     HS_LABELS,
@@ -29,7 +29,7 @@ from .quantifiers import (
     octahedron_margin,
     trace_discord_columns,
 )
-from .relations import RelationCase, critical_times, sudden_death_time
+from .relations import RelationCase, critical_times
 from .states import CorrelationVector, bd_density_columns, bd_xstate_columns, bell_eigenvalues, in_tetrahedron
 
 SUDDEN_CHANGE = "SuddenChangeDiscord"
@@ -57,7 +57,8 @@ class Trajectory:
     unmatched lists, per norm in order of p, the analytic sudden changes and
     the analytic sudden death in [0, p_max] that no detected event was matched
     to; with detection from crossings of the moduli it stays empty unless a
-    crossing falls exactly on a detection row.
+    crossing falls exactly on a detection row, or two crossings lie closer
+    together than the bisection resolves.
     """
 
     p: np.ndarray
@@ -123,12 +124,14 @@ def run_trajectory(
     and is a trace sudden change; it is an HS sudden change at the same p* when
     the third modulus lies below the pair, since D_j - D_i = r_i^2 - r_j^2 has
     the sign of |r_i| - |r_j| at every p, so the HS branch values cross there
-    too.  A zero at either end of a cell is a tie-break, not a crossing.
+    too.  A zero at either end of a cell is a tie-break, not a crossing.  When
+    the third modulus equals a pair member on every row, the two cross the
+    other member together, which is one HS sudden change and no trace change.
     Sudden death is the first downward crossing of the octahedron margin on
     the same rows, bisected.
-    Each detected event is matched to its analytic prediction when one exists
-    within 1e-6; analytic changes and deaths in [0, p_max] left without a
-    detection are listed in unmatched.
+    Each detected event is matched to the nearest analytic prediction within
+    1e-6 that no earlier event of its kind and norm took; analytic changes and
+    deaths in [0, p_max] left without a detection are listed in unmatched.
     """
     if n_samples < 2:
         raise OutOfRange("n_samples = %d must be at least 2" % n_samples)
@@ -158,19 +161,15 @@ def run_trajectory(
     )
 
     analytic = {}  # (kind, norm) -> the analytic times, read for matching only
-    try:
-        deaths = (sudden_death_time(channel, r0),)
-    except NotEntangled:
-        deaths = ()
     for norm in Norm:
-        try:
-            analytic[SUDDEN_CHANGE, norm] = critical_times(RelationCase(channel, norm, r0)).sudden_changes
-        except DegenerateOrdering:
-            analytic[SUDDEN_CHANGE, norm] = ()
-        analytic[SUDDEN_DEATH, norm] = deaths
+        times = critical_times(RelationCase(channel, norm, r0))
+        analytic[SUDDEN_CHANGE, norm] = times.sudden_changes
+        analytic[SUDDEN_DEATH, norm] = () if times.sudden_death is None else (times.sudden_death,)
 
     def detected(kind: str, norm: Norm, x: float) -> EventRecord:
-        return EventRecord(kind, norm, x, _match_analytic(x, analytic[kind, norm]))
+        taken = {e.p_analytic for e in records if e.kind == kind and e.norm is norm}
+        free = [c for c in analytic[kind, norm] if c not in taken]  # one detection per analytic time
+        return EventRecord(kind, norm, x, _match_analytic(x, free))
 
     def moduli(x: float) -> tuple[float, float, float]:
         """The evolved moduli at x, which every event below is refined on."""
@@ -178,13 +177,19 @@ def run_trajectory(
 
     records = traj.event_records
     s = np.abs(r_rows)
-    sign = np.sign(s[:, [0, 0, 1]] - s[:, [1, 2, 2]])
+    sign = np.sign(s[:, [0, 0, 1]] - s[:, [1, 2, 2]])  # pairs (0, 1), (0, 2), (1, 2): pair a + b - 1
+    tied = (sign == 0.0).all(axis=0)  # bitwise on every row: tied moduli are the same product
     for k, c in zip(*np.nonzero(sign[:-1] * sign[1:] < 0.0)):
-        i, j = (0, 0, 1)[c], (1, 2, 2)[c]
+        i, j, t = (0, 0, 1)[c], (1, 2, 2)[c], (2, 1, 0)[c]  # t: the third modulus
         p_star = _bisect(lambda x: (w := moduli(x))[j] - w[i], *rows[k:k + 2].tolist())
-        m = moduli(p_star)
-        # an HS change too when the pair holds the largest modulus
-        norms = Norm if m[3 - i - j] < min(m[i], m[j]) else (Norm.TRACE,)
+        if tied[i + t - 1] or tied[j + t - 1]:
+            # the third ties a pair member, and both cross the other member
+            # together: the largest modulus moves, the median does not.  One HS
+            # change, recorded on the crossing of the lower-index member of the tie
+            norms = (Norm.HS,) if (i if tied[i + t - 1] else j) < t else ()
+        else:  # an HS change too when the pair holds the largest modulus
+            m = moduli(p_star)
+            norms = Norm if m[t] < min(m[i], m[j]) else (Norm.TRACE,)
         records += [detected(SUDDEN_CHANGE, norm, p_star) for norm in norms]
 
     margins = octahedron_margin(*r_rows.T)

@@ -21,10 +21,6 @@ class OutOfRange(QcorrError):
     """A channel or grid parameter lies outside its allowed interval."""
 
 
-class DegenerateOrdering(QcorrError):
-    """Two of the |r_i| coincide, so the piecewise case analysis is undefined."""
-
-
 class NotEntangled(QcorrError):
     """An entangled state is required (e.g. for sudden-death times)."""
 

@@ -21,17 +21,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .channels import PRESERVED_AXIS, ChannelKind, inverse_decay_p, monotone_p_max
-from .errors import (
-    BranchUnknown,
-    DegenerateOrdering,
-    NotEntangled,
-    OutOfRange,
-    WindowViolation,
-)
+from .errors import BranchUnknown, NotEntangled, OutOfRange, WindowViolation
 from .quantifiers import HS_LABELS, TRACE_LABELS, Norm, concurrence_columns, hs_axis_distances
 from .states import CorrelationVector, bd_xstate_columns, octahedron_margin
 
-_ORDER_TOL = 1e-12
 _WINDOW_TOL = 1e-9
 
 
@@ -53,19 +46,6 @@ class RelationCase:
 class CriticalTimes:
     sudden_changes: tuple[float, ...]
     sudden_death: float | None
-
-
-def ordering(r: CorrelationVector) -> tuple[int, int, int]:
-    """1-based axis indices sorted by increasing |r_i|; ties are rejected."""
-    s = r.abs_triple()
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(s[i] - s[j]) <= _ORDER_TOL:
-                raise DegenerateOrdering(
-                    "|r%d| = |r%d| = %.12g: piecewise case analysis undefined"
-                    % (i + 1, j + 1, s[i])
-                )
-    return tuple(sorted((1, 2, 3), key=lambda k: s[k - 1]))
 
 
 class Frame(NamedTuple):
@@ -122,14 +102,17 @@ def critical_times(case: RelationCase) -> CriticalTimes:
 
     The HS discord switches branch when the dominant decaying component
     crosses a preserved one; the trace discord switches whenever a decaying
-    component crosses it.  Depolarizing noise preserves no component, so its
-    dynamics never exhibits a sudden change.  Orderings with coinciding |r_i|
-    are rejected.
+    component crosses it, except one that another decaying component ties
+    exactly: the tied pair crosses together, which moves the largest modulus
+    but not the median.  Depolarizing noise preserves no component, so its
+    dynamics never exhibits a sudden change.
     """
-    ordering(case.initial)
     channel = case.channel
     _, _, s, n, g_sd, _ = case.frame
-    decaying = s[:n] if case.norm is Norm.TRACE else (max(s[:n]),)
+    if case.norm is Norm.TRACE:
+        decaying = tuple(si for si in s[:n] if s[:n].count(si) == 1)
+    else:
+        decaying = (max(s[:n]),)
     changes: list[float] = []
     for kept in s[n:]:
         for si in decaying:
@@ -148,10 +131,7 @@ def extrapolation_start(case: RelationCase) -> float:
     """
     if case.norm is not Norm.TRACE:
         return math.inf
-    try:
-        changes = critical_times(case).sudden_changes
-    except DegenerateOrdering:
-        return math.inf
+    changes = critical_times(case).sudden_changes
     # a change means a decaying |u_i| above the preserved |u_3|; single when the other is below
     s = case.frame.s
     return changes[0] if changes and min(s[0], s[1]) < s[2] else math.inf

@@ -68,6 +68,27 @@ def test_simulate_nan_state_exit3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("-inf,0,0", "-inf, 0, 0"),
+    ("-Infinity,0,0", "-inf, 0, 0"),
+    ("-nan,0,0", "nan, 0, 0"),
+    ("-NaN,0.1,0.2", "nan, 0.1, 0.2"),
+])
+def test_simulate_negative_nonfinite_state_exit3(value, shown, tmp_path, capsys):
+    # a leading "-inf" or "-nan" is an option value, like "-0.7", not an option name
+    out = tmp_path / "x.csv"
+    code, _, stderr = run(capsys, "simulate", "--channel", "pd", "--state", value, "--out", str(out))
+    assert code == 3 and not out.exists()
+    assert stderr == "NonPhysical: correlation vector (%s) is not finite\n" % shown
+
+
+def test_simulate_dash_word_state_exit2(tmp_path, capsys):
+    code, _, stderr = run(capsys, "simulate", "--channel", "pd", "--state", "-x,0,0",
+                          "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert stderr == "ConfigError: argument --state: expected one argument\n"
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     missing = tmp_path / "nodir"
     for argv in (
@@ -94,7 +115,7 @@ def test_simulate_too_many_samples_exit2(tmp_path, capsys):
 
 
 def test_simulate_degenerate_ordering_death_analytic(tmp_path, capsys):
-    # |r1| = |r2|: no sudden-change analysis, but the death time is still known
+    # |r1| = |r2| = |r3|: the moduli never cross, and the death time is analytic
     code, stdout, _ = run(
         capsys, "simulate", "--channel", "pd", "--state", "0.5,0.5,-0.5",
         "--out", str(tmp_path / "t.csv"),
@@ -429,7 +450,6 @@ def _add_undetectable_events(monkeypatch):
         return CriticalTimes(tuple(sorted(critical_times(case).sudden_changes + extra)), 0.3)
 
     monkeypatch.setattr(dyn, "critical_times", with_extra_change)
-    monkeypatch.setattr(dyn, "sudden_death_time", lambda channel, r: 0.3)
 
 
 def test_simulate_lists_unmatched_sudden_changes(tmp_path, capsys, monkeypatch):

@@ -185,6 +185,75 @@ def test_two_switches_in_one_cell_detected(kind, state, n_samples):
     assert len(_changes(traj, Norm.TRACE)) == (2 if kind is PD else 4)
 
 
+# two decaying moduli tied with each other cross the preserved one together
+TIED = [
+    (PD, (0.5, -0.5, 0.3)),
+    (ChannelKind.BIT_FLIP, (0.3, 0.5, -0.5)),
+    (ChannelKind.BIT_PHASE_FLIP, (0.5, 0.3, -0.5)),
+    (ChannelKind.PHASE_FLIP, (0.5, -0.5, 0.3)),
+]
+
+
+@pytest.mark.parametrize("n_samples", [2, 11, 1001])
+@pytest.mark.parametrize("kind, state", TIED)
+def test_tied_moduli_cross_as_one_hs_change(kind, state, n_samples):
+    """The tied pair crossing the preserved modulus moves the largest modulus
+    but not the median: one HS change at (1 - sqrt(0.6)), mirrored under
+    phase flip, and no trace change, detected and analytic alike."""
+    from qcorr.relations import RelationCase, critical_times
+
+    r0 = CorrelationVector(*state)
+    traj = run_trajectory(kind, r0, 1.0, n_samples)
+    p1 = 1.0 - np.sqrt(0.6)
+    hs = (p1 / 2.0, 1.0 - p1 / 2.0) if kind is ChannelKind.PHASE_FLIP else (p1,)
+    for norm, times in ((Norm.HS, hs), (Norm.TRACE, ())):
+        np.testing.assert_allclose(critical_times(RelationCase(kind, norm, r0)).sudden_changes, times, atol=1e-15)
+        detected = [e.p_detected for e in _changes(traj, norm)]
+        assert len(detected) == len(times)
+        np.testing.assert_allclose(detected, times, atol=1e-6)
+    assert all(e.p_analytic is not None for e in traj.event_records)
+    assert traj.unmatched == []
+
+
+@pytest.mark.parametrize("kind, state", TIED)
+def test_tied_moduli_kink_hs_not_trace(kind, state):
+    """A witness free of either rule: at each detected change the one-sided
+    slopes of the sampled D_hs jump, and those of D_tr do not."""
+    traj = run_trajectory(kind, CorrelationVector(*state), 1.0, 1001)
+    changes = _changes(traj, Norm.HS)
+    assert len(changes) == (2 if kind is ChannelKind.PHASE_FLIP else 1)
+    dp = traj.p[1]
+    for e in changes:
+        k = np.searchsorted(traj.p, e.p_detected) - 1  # p[k] < p* < p[k + 1]
+        for d, kink in ((traj.d_hs, True), (traj.d_tr, False)):
+            left, right = (d[k] - d[k - 1]) / dp, (d[k + 2] - d[k + 1]) / dp
+            assert (abs(right - left) > 0.3) == kink
+
+
+@pytest.mark.parametrize("n_samples", [2, 11, 1001])
+def test_decaying_modulus_tied_to_the_preserved_one(n_samples):
+    # |r2| = |r3| = 0.3 part at p = 0 and never meet again; |r1| = 0.6 crosses
+    # |r3| at 1 - sqrt(0.5), the largest modulus and the median both change
+    traj = run_trajectory(PD, CorrelationVector(0.6, 0.3, -0.3), 1.0, n_samples)
+    for norm in Norm:
+        [e] = _changes(traj, norm)
+        assert e.p_analytic == 1.0 - np.sqrt(0.5) and abs(e.p_detected - e.p_analytic) <= 1e-6
+    assert traj.unmatched == []
+
+
+def test_near_tie_matches_each_analytic_change_once():
+    # the two trace changes lie 8e-12 apart, both within 1e-6 of either
+    # detection: each detection takes the nearest analytic time not yet taken
+    from qcorr.relations import RelationCase, critical_times
+
+    r0 = CorrelationVector(0.5, -0.49999999999, 0.3)
+    traj = run_trajectory(PD, r0, 1.0, 1001)
+    analytic = critical_times(RelationCase(PD, Norm.TRACE, r0)).sudden_changes
+    assert len(analytic) == 2
+    assert sorted(e.p_analytic for e in _changes(traj, Norm.TRACE)) == list(analytic)
+    assert traj.unmatched == []
+
+
 BELL_VERTICES = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
 
 

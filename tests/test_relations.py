@@ -3,20 +3,14 @@ import pytest
 
 from conftest import REF
 from qcorr.channels import ChannelKind, evolved_vector
-from qcorr.errors import (
-    BranchUnknown,
-    DegenerateOrdering,
-    NotEntangled,
-    OutOfRange,
-    WindowViolation,
-)
+from qcorr.errors import BranchUnknown, NotEntangled, OutOfRange, WindowViolation
 from qcorr.quantifiers import Norm, concurrence_x, hs_discord, hs_entanglement, trace_discord
 from qcorr.relations import (
+    CriticalTimes,
     RelationCase,
     _p_in_window,
     critical_times,
     hs_discord_from_entanglement,
-    ordering,
     sudden_death_time,
     trace_discord_from_concurrence,
 )
@@ -39,12 +33,6 @@ P_I = 0.19746165411852779
 P_II = 0.23539854524374293
 P_SD = 0.2928932188134524
 P_SD_DEPOL = 0.21432579868161383
-
-
-def test_ordering():
-    assert ordering(R0) == (3, 2, 1)
-    with pytest.raises(DegenerateOrdering):
-        ordering(CorrelationVector(0.4, 0.4, 0.1))
 
 
 def test_critical_times_reference():
@@ -107,8 +95,11 @@ def test_death_coincidence_random():
 
 
 def test_degenerate_and_not_entangled():
-    with pytest.raises(DegenerateOrdering):
-        critical_times(RelationCase(PD, Norm.HS, CorrelationVector(0.4, 0.4, 0.1)))
+    # |r1| = |r2| decay together and cross |r3| = 0.1 together at p = 1/2: the
+    # largest modulus changes there, the median does not
+    r = CorrelationVector(0.4, 0.4, 0.1)
+    assert critical_times(RelationCase(PD, Norm.HS, r)) == CriticalTimes((0.5,), None)
+    assert critical_times(RelationCase(PD, Norm.TRACE, r)) == CriticalTimes((), None)
     with pytest.raises(NotEntangled):
         sudden_death_time(PD, CorrelationVector(0.2, 0.1, 0.05))
 
