@@ -55,7 +55,6 @@ from .relations import (
     RelationCase,
     critical_times,
     hs_discord_from_entanglement,
-    sudden_death_time,
     trace_discord_from_concurrence,
 )
 from .states import (

@@ -22,7 +22,7 @@ from .channels import parse_channel_spec
 from .dynamics import SUDDEN_CHANGE, d_vs_e_curve, run_trajectory
 from .errors import ConfigError, OutOfRange, QcorrError, VerifyFailure
 from .quantifiers import Norm
-from .relations import RelationCase, extrapolation_start
+from .relations import RelationCase, critical_times
 from .states import CorrelationVector, XState
 from .verify import report_to_json, run_verification
 
@@ -129,7 +129,7 @@ def cmd_relate(args) -> int:
     norm = Norm(args.norm)
     traj = run_trajectory(args.channel, args.r0, p_max=args.pmax, n_samples=args.samples)
     ent, disc, branch = d_vs_e_curve(traj, norm)
-    start = extrapolation_start(RelationCase(args.channel, norm, args.r0))
+    start = critical_times(RelationCase(args.channel, norm, args.r0)).extrapolated_from
     extrapolated = np.where(traj.p[: len(ent)] > start, "true", "false")
     _write_columns(args.out, "E,D,branch,extrapolated", [ent, disc, branch, extrapolated])
     for e in traj.event_records + traj.unmatched:  # unmatched: analytic events that no detection matched

@@ -35,7 +35,6 @@ from .states import CorrelationVector, bd_density_columns, bd_xstate_columns, be
 SUDDEN_CHANGE = "SuddenChangeDiscord"
 SUDDEN_DEATH = "SuddenDeathEntanglement"
 
-_REFINE_TOL = 1e-10
 _MATCH_TOL = 1e-6
 
 
@@ -57,8 +56,8 @@ class Trajectory:
     unmatched lists, per norm in order of p, the analytic sudden changes and
     the analytic sudden death in [0, p_max] that no detected event was matched
     to; with detection from crossings of the moduli it stays empty unless a
-    crossing falls exactly on a detection row, or two crossings lie closer
-    together than the bisection resolves.
+    crossing falls exactly on a detection row, or two crossings lie within
+    one float step.
     """
 
     p: np.ndarray
@@ -76,17 +75,16 @@ class Trajectory:
         return next((e.p_detected for e in self.event_records if e.kind == SUDDEN_DEATH), None)
 
 
-def _bisect(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == (flo > 0.0):
+def _bisect(f, lo: float, hi: float) -> float:
+    """The sign change of f in [lo, hi], halved until the midpoint is an end:
+    no float lies between the two, and that end is returned."""
+    flo = f(lo) > 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (f(mid) > 0.0) == flo:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def _match_analytic(p: float, candidates) -> float | None:
@@ -198,7 +196,7 @@ def run_trajectory(
     if margins[0] > 0.0 and down.size:
         k = down[0]
         # abs is exact, so the margin of the moduli is the margin of the vector
-        p_star = _bisect(lambda x: octahedron_margin(*moduli(x)), *rows[k:k + 2].tolist(), tol=1e-12)
+        p_star = _bisect(lambda x: octahedron_margin(*moduli(x)), *rows[k:k + 2].tolist())
         records += [detected(SUDDEN_DEATH, norm, p_star) for norm in Norm]
 
     matched = {(e.kind, e.norm, e.p_analytic) for e in records}

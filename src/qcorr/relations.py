@@ -45,7 +45,11 @@ class RelationCase:
 @dataclass(frozen=True)
 class CriticalTimes:
     sudden_changes: tuple[float, ...]
-    sudden_death: float | None
+    sudden_death: float | None  # None: the initial state is separable
+    # p beyond which D(C) lies on its extrapolated piece, inf if none: the
+    # post-change segment of the single-change trace case, whose D(C) form is
+    # obtained by the same substitution but has no stated counterpart
+    extrapolated_from: float
 
 
 class Frame(NamedTuple):
@@ -80,15 +84,6 @@ def canonical_frame(channel: ChannelKind, r: CorrelationVector) -> Frame:
     return Frame(perm, u, s, n, g_sd, branch)
 
 
-def sudden_death_time(channel: ChannelKind, r: CorrelationVector) -> float:
-    """Analytic entanglement sudden-death time; raises NotEntangled when the
-    initial state already lies inside the separable octahedron."""
-    g_sd = canonical_frame(channel, r).g_sd
-    if g_sd is None:
-        raise NotEntangled("initial state (%g, %g, %g) is separable" % (r.r1, r.r2, r.r3))
-    return inverse_decay_p(channel, g_sd)
-
-
 def _mirrored(channel: ChannelKind, p: float) -> list[float]:
     """A crossing of the decay factor and, when it lies in (p, 1], its mirror
     image about the factor's root, on the rising side of (1 - c p)^2."""
@@ -98,14 +93,16 @@ def _mirrored(channel: ChannelKind, p: float) -> list[float]:
 
 @lru_cache(maxsize=4096)
 def critical_times(case: RelationCase) -> CriticalTimes:
-    """Sudden-change times of the discord and the sudden-death time.
+    """Sudden changes, sudden death and the start of the extrapolated trace piece.
 
     The HS discord switches branch when the dominant decaying component
     crosses a preserved one; the trace discord switches whenever a decaying
     component crosses it, except one that another decaying component ties
     exactly: the tied pair crosses together, which moves the largest modulus
-    but not the median.  Depolarizing noise preserves no component, so its
-    dynamics never exhibits a sudden change.
+    but not the median.  When exactly one decaying component crosses, the
+    other lying below the preserved one or tied with it, D(C) is extrapolated
+    from its first trace change on.  Depolarizing noise preserves no
+    component, so its dynamics never exhibits a sudden change.
     """
     channel = case.channel
     _, _, s, n, g_sd, _ = case.frame
@@ -113,28 +110,11 @@ def critical_times(case: RelationCase) -> CriticalTimes:
         decaying = tuple(si for si in s[:n] if s[:n].count(si) == 1)
     else:
         decaying = (max(s[:n]),)
-    changes: list[float] = []
-    for kept in s[n:]:
-        for si in decaying:
-            if si > kept > 0.0:
-                changes += _mirrored(channel, inverse_decay_p(channel, kept / si))
+    crossing = [kept / si for kept in s[n:] for si in decaying if si > kept > 0.0]
+    changes = sorted(p for g in crossing for p in _mirrored(channel, inverse_decay_p(channel, g)))
+    single = case.norm is Norm.TRACE and len(crossing) == 1
     death = None if g_sd is None else inverse_decay_p(channel, g_sd)
-    return CriticalTimes(sudden_changes=tuple(sorted(changes)), sudden_death=death)
-
-
-def extrapolation_start(case: RelationCase) -> float:
-    """p beyond which the D(C) curve lies on its extrapolated piece, inf if none.
-
-    That piece is the post-sudden-change segment of the single-change trace
-    case, whose D(C) form is obtained by the same substitution but has no
-    stated counterpart; flagged so downstream output can mark it.
-    """
-    if case.norm is not Norm.TRACE:
-        return math.inf
-    changes = critical_times(case).sudden_changes
-    # a change means a decaying |u_i| above the preserved |u_3|; single when the other is below
-    s = case.frame.s
-    return changes[0] if changes and min(s[0], s[1]) < s[2] else math.inf
+    return CriticalTimes(tuple(changes), death, changes[0] if single else math.inf)
 
 
 def _branch_index(label: str | None, labels: tuple[str, ...]) -> int:

@@ -38,7 +38,6 @@ from qcorr.relations import (
     RelationCase,
     critical_times,
     hs_discord_from_entanglement,
-    sudden_death_time,
     trace_discord_from_concurrence,
 )
 from qcorr.sampling import random_bd_pairs, random_entangled_bd, random_entangled_xstate_columns, random_xstate_columns
@@ -133,7 +132,7 @@ def test_criterion_06_relation_identity():
         for r in states:
             case_hs = RelationCase(kind, Norm.HS, r)
             case_tr = RelationCase(kind, Norm.TRACE, r)
-            p_sd = sudden_death_time(kind, r)
+            p_sd = critical_times(case_hs).sudden_death
             ps = np.arange(0.0, p_sd, 1e-3)
             # the direct E, D, C and labels at every p, one column call each; the
             # column forms equal the single-state quantifiers bit for bit

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,31 @@ def test_relate_reference(tmp_path, capsys):
     first = lines[1].split(",")
     np.testing.assert_allclose([float(first[0]), float(first[1])], [0.31, 0.59])
     assert stdout.count("kink") == 2
+
+
+@pytest.mark.parametrize("state, rows, marked", [("0.9,0.5,-0.5", 403, 148), ("0.9,0.49,-0.5", 401, 146)],
+                         ids=["tied", "below"])
+def test_relate_marks_the_single_change_trace_piece(tmp_path, capsys, state, rows, marked):
+    # |r2| ties |r3| or lies below it, so |r1| alone crosses |r3|: past that one
+    # change the curve follows |r1| g, marked extrapolated up to sudden death
+    out = tmp_path / "rel.csv"
+    code, stdout, _ = run(
+        capsys, "relate", "--channel", "pd", "--state", state, "--norm", "trace", "--out", str(out),
+    )
+    table = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    flags = [row[3] for row in table]
+    assert code == 0 and stdout.count("kink") == 1 and len(table) == rows
+    assert flags == ["false"] * (rows - marked) + ["true"] * marked
+    assert {row[2] for row in table[rows - marked:]} == {"r1"}
+
+
+def test_simulate_at_the_smallest_pmax(tmp_path, capsys):
+    # every row is 0 or the smallest subnormal, so no cell brackets an event
+    code, stdout, stderr = run(
+        capsys, "simulate", "--channel", "pf", "--state", "0.5,-0.49999999999,0.3",
+        "--pmax", "5e-324", "--out", str(tmp_path / "tiny.csv"),
+    )
+    assert code == 0 and stdout == stderr == ""
 
 
 @pytest.mark.parametrize("command", [("relate", "--norm", "hs"), ("curve",)], ids=["relate", "curve"])
@@ -447,7 +473,7 @@ def _add_undetectable_events(monkeypatch):
 
     def with_extra_change(case):
         extra = (0.25,) if case.norm is Norm.TRACE else ()
-        return CriticalTimes(tuple(sorted(critical_times(case).sudden_changes + extra)), 0.3)
+        return CriticalTimes(tuple(sorted(critical_times(case).sudden_changes + extra)), 0.3, math.inf)
 
     monkeypatch.setattr(dyn, "critical_times", with_extra_change)
 

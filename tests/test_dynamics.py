@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import REF
 from qcorr.channels import ChannelKind, evolved_vector, monotone_p_max
 from qcorr.dynamics import (
+    _bisect,
     _evolve,
     SUDDEN_CHANGE,
     SUDDEN_DEATH,
@@ -241,17 +243,43 @@ def test_decaying_modulus_tied_to_the_preserved_one(n_samples):
     assert traj.unmatched == []
 
 
-def test_near_tie_matches_each_analytic_change_once():
-    # the two trace changes lie 8e-12 apart, both within 1e-6 of either
-    # detection: each detection takes the nearest analytic time not yet taken
+@pytest.mark.parametrize("n_samples", [11, 1001])
+@pytest.mark.parametrize("kind, hs", [
+    (PD, (1.0 - np.sqrt(0.6),)),
+    (ChannelKind.PHASE_FLIP, (0.1127016653792583, 0.8872983346207417)),
+])
+def test_near_tie_matches_each_analytic_change_once(kind, hs, n_samples):
+    # the trace changes lie in pairs 8e-12 apart, each pair within 1e-6 of
+    # either detection: each detection takes the nearest analytic time not yet
+    # taken, and bisection to float resolution tells the pair apart, so that
+    # the crossing of the larger decaying modulus is the HS change
     from qcorr.relations import RelationCase, critical_times
 
     r0 = CorrelationVector(0.5, -0.49999999999, 0.3)
-    traj = run_trajectory(PD, r0, 1.0, 1001)
-    analytic = critical_times(RelationCase(PD, Norm.TRACE, r0)).sudden_changes
-    assert len(analytic) == 2
-    assert sorted(e.p_analytic for e in _changes(traj, Norm.TRACE)) == list(analytic)
+    traj = run_trajectory(kind, r0, 1.0, n_samples)
     assert traj.unmatched == []
+    for norm, count in ((Norm.HS, len(hs)), (Norm.TRACE, 2 * len(hs))):
+        analytic = critical_times(RelationCase(kind, norm, r0)).sudden_changes
+        assert len(analytic) == count
+        assert sorted(e.p_analytic for e in _changes(traj, norm)) == list(analytic)
+    np.testing.assert_allclose([e.p_analytic for e in _changes(traj, Norm.HS)], hs, rtol=0.0, atol=1e-15)
+    assert all(abs(e.p_detected - e.p_analytic) <= 1e-15 for e in traj.event_records)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.5, math.nextafter(0.5, 1.0)),
+    (math.nextafter(1.0, 0.0), 1.0),
+    (0.0, 5e-324),
+])
+def test_bisect_stops_between_adjacent_floats(lo, hi):
+    # no float lies strictly between the ends: the first midpoint is an end
+    assert _bisect(lambda x: x - lo, lo, hi) in (lo, hi)
+
+
+@pytest.mark.parametrize("root", [0.3, 1e-320])
+def test_bisect_reaches_the_float_of_the_root(root):
+    # from [0, 1] down to one float step, past 1000 halvings for a subnormal root
+    assert abs(_bisect(lambda x: root - x, 0.0, 1.0) - root) <= math.ulp(root)
 
 
 BELL_VERTICES = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
@@ -264,11 +292,11 @@ def test_vertex_death_where_the_margin_touches_zero(vertex, kind, n_samples):
     """From a Bell vertex, under every channel but depolarizing, the margin
     2 g(p) falls to zero on a detection row, at p = 1 or at phase flip's
     turning point 1/2, and does not cross it; that zero is the death."""
-    from qcorr.relations import sudden_death_time
+    from qcorr.relations import RelationCase, critical_times
 
     r0 = CorrelationVector(*vertex)
     traj = run_trajectory(kind, r0, 1.0, n_samples)
-    death = sudden_death_time(kind, r0)
+    death = critical_times(RelationCase(kind, Norm.HS, r0)).sudden_death
     assert [e.kind for e in traj.event_records] == [SUDDEN_DEATH] * 2
     for norm in Norm:
         [e] = _deaths(traj, norm)
@@ -280,18 +308,14 @@ def test_vertex_death_where_the_margin_touches_zero(vertex, kind, n_samples):
 def _seeded_scan() -> list:
     """(state, channel, analytic death or None, trajectory) over 40 seeded
     states, every channel and 2 to 1001 samples."""
-    from qcorr.errors import NotEntangled
-    from qcorr.relations import sudden_death_time
+    from qcorr.relations import RelationCase, critical_times
     from qcorr.sampling import random_bd_vector
 
     rng = np.random.default_rng(1)
     scan = []
     for r in [random_bd_vector(rng) for _ in range(40)]:
         for kind in ChannelKind:
-            try:
-                death = sudden_death_time(kind, r)
-            except NotEntangled:
-                death = None
+            death = critical_times(RelationCase(kind, Norm.HS, r)).sudden_death
             for n_samples in (2, 3, 4, 11, 51, 1001):
                 scan.append((r, kind, death, run_trajectory(kind, r, 1.0, n_samples)))
     return scan

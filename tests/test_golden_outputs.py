@@ -37,20 +37,20 @@ COMMANDS = (
 )
 
 GOLDEN = {
-    "pd": "64ce5ba476bf2f380732fcc56731bbee6aedeb8395accde8dae425d2a4f8f476",
-    "bf": "604e5cf2a0b3fab1ff0c95252d89f61035fa2f0fd27d4da17ce578bad1229af9",
-    "bpf": "ff06f074e1954d7b1c9ebdddf97de2e3dfda66a653019bca3c346635bac3196b",
-    "pf": "eff4b5471b9e9c4da09bd17c6feb20b6a7dcf55e3eb2917af39020350b969f6d",
-    "depol": "f1067acb0c47f2fc93a83deac28b622c655da01dd09a4f5be92c58537d92b66b",
+    "pd": "7fb42cd5064bb3113fdf28cb14f2923d306d4415783ace45f651863d8e5fda27",
+    "bf": "7c440abadec7cc1669ad79f76220c5e667716fc03c2bd6cc3c1e9e8ee83ac0a8",
+    "bpf": "aa08df8004902c6eec23dc4ccbd14cbdf99cda2d2876bc63fe4fafa8bda15730",
+    "pf": "4f07ebe4906d0f1e90e04d4cf55808833c94500020c5d7b74f5336ab6a8ccda2",
+    "depol": "354b8237ff1574ebe9e05fb6cfcec5302682ffa8de89e8d694fdc8b0fb35f5e4",
 }
 
 
 DEGENERATE = {
-    "pd": "af8db50cf7bc526eca0ff266a6a0e505e4ebbc22410bfd228dc0f4b7317ce4ee",
-    "bf": "cc3eba1716fd7366fa009db90a9312679c5dc952c2e0e2536c6f1fc537c0ddfe",
-    "bpf": "41f37749a2544b7c960e3f62c3f01aa66d7d52b25209eb4e0a7e46be8827694f",
-    "pf": "99612a28572b4e1b8acc47a23cb89c527a053170c4efaf83b6a0c8f6d0552fee",
-    "depol": "dbaedb07a11d4fcfda9fc7ec96659e90e8581bf4a18b8319c402993528334008",
+    "pd": "9b8384545c472a95ce509e5ac998d5717663a2a8956eb4497cfdf8068d65f59b",
+    "bf": "b771eaf3ff82f99854c27e2c962eaf49eec601ae2be7100faba1b4375bfedcfc",
+    "bpf": "fa95c638fbcadba7711aff5568bf11656f6bdb9f2789b0ca158c1a21e6baf6da",
+    "pf": "50efee0be4aab1a86f68be56f44d54314b22a9394309873a051b7cc50c503fbb",
+    "depol": "326d4b2a9faee2bbfc46633df877e6a4226a2084fb7564aeef48f6a0be7195e6",
 }
 
 

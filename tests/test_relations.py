@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from qcorr.relations import (
     _p_in_window,
     critical_times,
     hs_discord_from_entanglement,
-    sudden_death_time,
     trace_discord_from_concurrence,
 )
 from qcorr.sampling import random_entangled_bd
@@ -98,10 +99,20 @@ def test_degenerate_and_not_entangled():
     # |r1| = |r2| decay together and cross |r3| = 0.1 together at p = 1/2: the
     # largest modulus changes there, the median does not
     r = CorrelationVector(0.4, 0.4, 0.1)
-    assert critical_times(RelationCase(PD, Norm.HS, r)) == CriticalTimes((0.5,), None)
-    assert critical_times(RelationCase(PD, Norm.TRACE, r)) == CriticalTimes((), None)
-    with pytest.raises(NotEntangled):
-        sudden_death_time(PD, CorrelationVector(0.2, 0.1, 0.05))
+    assert critical_times(RelationCase(PD, Norm.HS, r)) == CriticalTimes((0.5,), None, math.inf)
+    assert critical_times(RelationCase(PD, Norm.TRACE, r)) == CriticalTimes((), None, math.inf)
+    assert critical_times(RelationCase(PD, Norm.HS, CorrelationVector(0.2, 0.1, 0.05))).sudden_death is None
+
+
+@pytest.mark.parametrize("kind", [PD, BPF, PF])
+def test_tied_preserved_modulus_takes_the_single_change_rule(kind):
+    # the decaying 0.5 ties the preserved 0.5 and falls below it for p > 0, so
+    # 0.9 alone crosses: D(C) is extrapolated from the first trace change on
+    r = CorrelationVector(0.9, 0.5, -0.5)
+    trace = critical_times(RelationCase(kind, Norm.TRACE, r))
+    assert len(trace.sudden_changes) == (2 if kind is PF else 1)
+    assert trace.extrapolated_from == trace.sudden_changes[0]
+    assert critical_times(RelationCase(kind, Norm.HS, r)).extrapolated_from == math.inf
 
 
 def test_branch_helpers():
@@ -188,7 +199,7 @@ def test_inverses_build_no_correlation_vector(kind, monkeypatch):
     # E, C and the active labels along [0, p_SD], then both inverses on them,
     # in and out of their windows, with every label
     case_hs, case_tr = RelationCase(kind, Norm.HS, R0), RelationCase(kind, Norm.TRACE, R0)
-    ps = np.linspace(0.0, sudden_death_time(kind, R0), 9)
+    ps = np.linspace(0.0, critical_times(case_hs).sudden_death, 9)
     evolved = [evolved_vector(kind, R0, p) for p in ps]
     es = [hs_entanglement(v).value for v in evolved] + [2.0]
     cs = [concurrence_x(bd_to_xstate(v)).value for v in evolved] + [2.0]
@@ -229,7 +240,7 @@ def _identity_sweep(kind, r0, n=200):
     """Max deviation of both relation identities along [0, p_SD]."""
     case_hs = RelationCase(kind, Norm.HS, r0)
     case_tr = RelationCase(kind, Norm.TRACE, r0)
-    p_sd = sudden_death_time(kind, r0)
+    p_sd = critical_times(case_hs).sudden_death
     worst = 0.0
     for p in np.linspace(0.0, p_sd, n):
         rv = evolved_vector(kind, r0, p)
