@@ -43,6 +43,10 @@ def test_out_of_range():
         kraus_for(ChannelKind.PHASE_DAMPING, 1.5)
     with pytest.raises(OutOfRange):
         evolved_vector(ChannelKind.BIT_FLIP, CorrelationVector(*REF), -0.1)
+    # a decay factor outside [0, 1], or NaN, has no p
+    for g, shown in ((-0.1, "-0.1"), (1.5, "1.5"), (float("nan"), "nan")):
+        with pytest.raises(OutOfRange, match=r"^decay factor g = %s outside \[0, 1\]$" % shown):
+            inverse_decay_p(ChannelKind.PHASE_DAMPING, g)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

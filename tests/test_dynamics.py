@@ -18,10 +18,11 @@ from qcorr.dynamics import (
 from qcorr.errors import EmptyWindow, NonPhysical, OutOfRange
 from qcorr.oracles import hs_operator_sq, trace_norm
 from qcorr.quantifiers import Norm
-from qcorr.sampling import random_bd_pairs
+from qcorr.sampling import random_bd_pairs, random_bd_vector
 from qcorr.states import CorrelationVector, bd_to_density
 
 PD, DEP = ChannelKind.PHASE_DAMPING, ChannelKind.DEPOLARIZING
+BF, BPF = ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP
 R0 = CorrelationVector(*REF)
 
 
@@ -264,6 +265,58 @@ def test_near_tie_matches_each_analytic_change_once(kind, hs, n_samples):
         assert sorted(e.p_analytic for e in _changes(traj, norm)) == list(analytic)
     np.testing.assert_allclose([e.p_analytic for e in _changes(traj, Norm.HS)], hs, rtol=0.0, atol=1e-15)
     assert all(abs(e.p_detected - e.p_analytic) <= 1e-15 for e in traj.event_records)
+
+
+def _death_matched_both_ways(traj) -> bool:
+    """No analytic event unmatched, and every detected death matched."""
+    return traj.unmatched == [] and all(
+        e.p_analytic is not None for e in traj.event_records if e.kind == SUDDEN_DEATH
+    )
+
+
+@pytest.mark.parametrize("n_samples", [11, 1001])
+@pytest.mark.parametrize("kind, state", [
+    # |r1| + |r2| + |r3| rounds to 1 in axis order, above it with the kept modulus last
+    (BF, (0.17907797725750468, 0.6710874057951208, -0.14983461694737463)),
+    # above 1 in axis order, to 1 with the kept modulus last
+    (BPF, (-0.366419976324472, -0.35783155840491154, -0.27574846527061664)),
+])
+def test_near_face_death_follows_the_detectors_margin(kind, state, n_samples):
+    # critical_times sums the margin in axis order, as the detector does, so
+    # an analytic death exists exactly when a death is detected
+    traj = run_trajectory(kind, CorrelationVector(*state), 1.0, n_samples)
+    assert _death_matched_both_ways(traj)
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved by k float steps."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def test_near_face_scan_matches_every_death():
+    # Dirichlet draws scaled onto |r1| + |r2| + |r3| = 1, each component then
+    # moved by up to 4 float steps: the margin's sign hangs on the order of the sum
+    rng = np.random.default_rng(1)
+    bad = []
+    for _ in range(400):
+        v = random_bd_vector(rng).as_array()
+        v = v / np.abs(v).sum()
+        r = CorrelationVector(*(_ulps(float(x), int(k)) for x, k in zip(v, rng.integers(-4, 5, 3))))
+        bad += [(kind, r) for kind in (BF, BPF) if not _death_matched_both_ways(run_trajectory(kind, r, 1.0, 11))]
+    assert bad == []
+
+
+def test_death_factor_rounding_to_one_dies_at_p_zero():
+    # the margin is 1 ulp above zero, and (1 - kept) / dec rounds to exactly 1
+    from qcorr.relations import RelationCase, critical_times
+
+    r0 = CorrelationVector(0.34259649518962193, -0.652268497944449, 0.005135006865929167)
+    assert critical_times(RelationCase(BF, Norm.HS, r0)).sudden_death == 0.0
+    traj = run_trajectory(BF, r0, 1.0, 11)
+    assert _death_matched_both_ways(traj)
+    assert [e.p_analytic for e in traj.event_records if e.kind == SUDDEN_DEATH] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("lo, hi", [

@@ -26,6 +26,7 @@ from qcorr.states import (
     bd_to_xstate,
     bd_xstate_columns,
     classify_region,
+    octahedron_margin,
 )
 
 
@@ -121,6 +122,13 @@ def test_wootters_ill_conditioned_corner():
     )
     dev = abs(wootters_concurrence(x.to_density()) - concurrence_x(x).value)
     assert dev <= 1e-8
+
+
+@given(physical_vectors())
+def test_concurrence_is_half_the_positive_margin(r):
+    # the identity the trace relation inverts: C = max(0, |r1| + |r2| + |r3| - 1) / 2
+    conc, _ = concurrence_columns(*bd_xstate_columns(r.r1, r.r2, r.r3))
+    assert abs(conc - max(0.0, octahedron_margin(r.r1, r.r2, r.r3)) / 2.0) <= 2.3e-16
 
 
 @given(physical_vectors())

@@ -51,16 +51,18 @@ def test_critical_times_reference():
         np.testing.assert_allclose(ct.sudden_death, P_SD_DEPOL, atol=1e-15)
 
 
-def test_critical_times_swapped_channels():
-    # bit flip preserves axis 1: same times for the axis-swapped state
-    r_bf = CorrelationVector(-0.38, 0.65, 0.59)
-    ct = critical_times(RelationCase(BF, Norm.TRACE, r_bf))
-    np.testing.assert_allclose(ct.sudden_changes, [P_I, P_II], atol=1e-15)
-    np.testing.assert_allclose(ct.sudden_death, P_SD, atol=1e-15)
-    r_bpf = CorrelationVector(0.65, -0.38, 0.59)
-    ct = critical_times(RelationCase(BPF, Norm.TRACE, r_bpf))
-    np.testing.assert_allclose(ct.sudden_changes, [P_I, P_II], atol=1e-15)
-
+@pytest.mark.parametrize("norm", list(Norm))
+@pytest.mark.parametrize("state", [REF, (0.9, 0.5, -0.5)])
+def test_critical_times_swapped_channels(norm, state):
+    # bit flip preserves axis 1 and bit-phase flip axis 2: the same times, bit
+    # for bit, for the state with its phase-damping-preserved component moved there
+    a, b, c = state
+    pd = critical_times(RelationCase(PD, norm, CorrelationVector(a, b, c)))
+    assert critical_times(RelationCase(BF, norm, CorrelationVector(c, a, b))) == pd
+    assert critical_times(RelationCase(BPF, norm, CorrelationVector(a, c, b))) == pd
+    if state == REF:
+        np.testing.assert_allclose(pd.sudden_changes, [P_I, P_II] if norm is Norm.TRACE else [P_II], atol=1e-15)
+        np.testing.assert_allclose(pd.sudden_death, P_SD, atol=1e-15)
 
 
 @pytest.mark.parametrize("norm", list(Norm))
@@ -174,6 +176,16 @@ def test_relation_errors():
         hs_discord_from_entanglement(0.1, case, None)
     with pytest.raises(BranchUnknown):
         trace_discord_from_concurrence(0.1, RelationCase(PD, Norm.TRACE, R0), None)
+    # a label from the other norm's table is as unknown as any other string
+    for fn, norm, label in (
+        (hs_discord_from_entanglement, Norm.HS, "D4"),
+        (hs_discord_from_entanglement, Norm.HS, "d1"),
+        (hs_discord_from_entanglement, Norm.HS, "r1"),
+        (trace_discord_from_concurrence, Norm.TRACE, "r0"),
+        (trace_discord_from_concurrence, Norm.TRACE, "D1"),
+    ):
+        with pytest.raises(BranchUnknown, match=r"^unrecognized branch label '%s'$" % label):
+            fn(0.1, RelationCase(PD, norm, R0), label)
     with pytest.raises(WindowViolation, match=r"^E exceeds its initial value \(factor .* > 1\)$"):
         # E larger than its initial value has no p in [0, p_SD]
         hs_discord_from_entanglement(1.0, case, branch="D1")
@@ -192,6 +204,35 @@ def test_relation_errors():
         hs_discord_from_entanglement(
             0.0, RelationCase(PD, Norm.HS, CorrelationVector(0.2, 0.1, 0.05)), branch="D1"
         )
+
+
+@pytest.mark.parametrize("kind", [PD, BF, BPF, PF, DEP])
+@pytest.mark.parametrize("state", [
+    REF,
+    (0.2, 0.1, 0.05),
+    (0.0, 0.0, 0.0),
+    # margin 6.7e-16 in axis order, where the X-form concurrence rounds to 0
+    (-0.5128919036910866, 0.27765372410082695, -0.20945437220808696),
+    # the near-face states of tests/test_dynamics.py, whose margin's sign hangs on the order of the sum
+    (0.17907797725750468, 0.6710874057951208, -0.14983461694737463),
+    (-0.366419976324472, -0.35783155840491154, -0.27574846527061664),
+])
+def test_inverses_agree_on_not_entangled(kind, state):
+    # both inverses refuse exactly the states without an analytic death
+    r = CorrelationVector(*state)
+    separable = critical_times(RelationCase(kind, Norm.HS, r)).sudden_death is None
+    for fn, case, label in (
+        (hs_discord_from_entanglement, RelationCase(kind, Norm.HS, r), "D1"),
+        (trace_discord_from_concurrence, RelationCase(kind, Norm.TRACE, r), "r1"),
+    ):
+        try:
+            fn(0.0, case, label)
+        except NotEntangled:
+            assert separable
+        except WindowViolation:  # E = C = 0 is p_SD, where D1 or r1 may not be active
+            assert not separable
+        else:
+            assert not separable
 
 
 @pytest.mark.parametrize("kind", [PD, BF, BPF, PF, DEP])
