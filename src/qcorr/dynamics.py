@@ -12,7 +12,7 @@ row so that no difference can cross and cross back inside one cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +53,12 @@ class Trajectory:
     r holds the evolved correlation vectors (n x 3), row 0 the initial state
     bit for bit (every decay factor is 1 at p = 0); branch_hs holds the HS
     discord labels D1..D3 and branch_tr the trace discord labels r1..r3.
-    unmatched lists, per norm in order of p, the analytic sudden changes and
-    the analytic sudden death in [0, p_max] that no detected event was matched
-    to; with detection from crossings of the moduli it stays empty unless a
-    crossing falls exactly on a detection row, or two crossings lie within
-    one float step.
+    Each detected event takes its analytic time out of a free list, so equal
+    analytic times are matched one each.  unmatched lists, per norm in order
+    of p, the analytic sudden changes and the analytic sudden death in
+    [0, p_max] that no detected event took; with detection from crossings of
+    the moduli it stays empty unless a crossing falls exactly on a detection
+    row, or two crossings lie within one float step.
     """
 
     p: np.ndarray
@@ -68,8 +69,8 @@ class Trajectory:
     d_tr: np.ndarray
     branch_hs: np.ndarray
     branch_tr: np.ndarray
-    event_records: list[EventRecord] = field(default_factory=list)
-    unmatched: list[EventRecord] = field(default_factory=list)
+    event_records: list[EventRecord]
+    unmatched: list[EventRecord]
 
     def death_p(self) -> float | None:
         return next((e.p_detected for e in self.event_records if e.kind == SUDDEN_DEATH), None)
@@ -85,12 +86,6 @@ def _bisect(f, lo: float, hi: float) -> float:
         else:
             hi = mid
     return mid
-
-
-def _match_analytic(p: float, candidates) -> float | None:
-    """The candidate nearest to p, the first on ties, when within _MATCH_TOL."""
-    best = min(candidates, key=lambda c: abs(c - p), default=None)
-    return best if best is not None and abs(best - p) <= _MATCH_TOL else None
 
 
 def _evolve(channel: ChannelKind, rs: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -127,9 +122,10 @@ def run_trajectory(
     other member together, which is one HS sudden change and no trace change.
     Sudden death is the first downward crossing of the octahedron margin on
     the same rows, bisected.
-    Each detected event is matched to the nearest analytic prediction within
-    1e-6 that no earlier event of its kind and norm took; analytic changes and
-    deaths in [0, p_max] left without a detection are listed in unmatched.
+    The analytic times of each kind and norm form one free list.  Each
+    detected event takes out of it the nearest time within 1e-6, the first on
+    ties, so equal analytic times are matched one each; the changes and deaths
+    left in [0, p_max] are listed in unmatched.
     """
     if n_samples < 2:
         raise OutOfRange("n_samples = %d must be at least 2" % n_samples)
@@ -147,33 +143,25 @@ def run_trajectory(
     d_hs, i_hs = hs_discord_columns(*r.T)
     concurrence, _ = concurrence_columns(*bd_xstate_columns(*r.T))
     d_tr, i_tr = trace_discord_columns(*r.T)
-    traj = Trajectory(
-        p=p,
-        r=r,
-        e_hs=hs_entanglement_columns(*r.T),
-        d_hs=d_hs,
-        concurrence=concurrence,
-        d_tr=d_tr,
-        branch_hs=np.array(HS_LABELS)[i_hs],
-        branch_tr=np.array(TRACE_LABELS)[i_tr],
-    )
 
-    analytic = {}  # (kind, norm) -> the analytic times, read for matching only
+    free = {}  # (kind, norm) -> the analytic times no detection has taken, read for matching only
     for norm in Norm:
         times = critical_times(RelationCase(channel, norm, r0))
-        analytic[SUDDEN_CHANGE, norm] = times.sudden_changes
-        analytic[SUDDEN_DEATH, norm] = () if times.sudden_death is None else (times.sudden_death,)
+        free[SUDDEN_CHANGE, norm] = list(times.sudden_changes)
+        free[SUDDEN_DEATH, norm] = [] if times.sudden_death is None else [times.sudden_death]
 
     def detected(kind: str, norm: Norm, x: float) -> EventRecord:
-        taken = {e.p_analytic for e in records if e.kind == kind and e.norm is norm}
-        free = [c for c in analytic[kind, norm] if c not in taken]  # one detection per analytic time
-        return EventRecord(kind, norm, x, _match_analytic(x, free))
+        """The event at x, which takes the nearest free time within _MATCH_TOL."""
+        times = free[kind, norm]
+        k = min(range(len(times)), key=lambda k: abs(times[k] - x), default=None)
+        near = k is not None and abs(times[k] - x) <= _MATCH_TOL
+        return EventRecord(kind, norm, x, times.pop(k) if near else None)
 
     def moduli(x: float) -> tuple[float, float, float]:
         """The evolved moduli at x, which every event below is refined on."""
         return evolved_vector(channel, r0, x).abs_triple()
 
-    records = traj.event_records
+    records = []
     s = np.abs(r_rows)
     sign = np.sign(s[:, [0, 0, 1]] - s[:, [1, 2, 2]])  # pairs (0, 1), (0, 2), (1, 2): pair a + b - 1
     tied = (sign == 0.0).all(axis=0)  # bitwise on every row: tied moduli are the same product
@@ -199,15 +187,22 @@ def run_trajectory(
         p_star = _bisect(lambda x: octahedron_margin(*moduli(x)), *rows[k:k + 2].tolist())
         records += [detected(SUDDEN_DEATH, norm, p_star) for norm in Norm]
 
-    matched = {(e.kind, e.norm, e.p_analytic) for e in records}
-    traj.unmatched = sorted(
-        (EventRecord(kind, norm, None, c) for (kind, norm), times in analytic.items() for c in times
-         if c <= p_max and (kind, norm, c) not in matched),
+    unmatched = sorted(
+        (EventRecord(kind, norm, None, c) for (kind, norm), times in free.items() for c in times if c <= p_max),
         key=lambda e: (e.norm is Norm.TRACE, e.p_analytic),  # HS first, then trace
     )
-
-    records.sort(key=lambda e: (e.p_detected, e.kind, e.norm.value))
-    return traj
+    return Trajectory(
+        p=p,
+        r=r,
+        e_hs=hs_entanglement_columns(*r.T),
+        d_hs=d_hs,
+        concurrence=concurrence,
+        d_tr=d_tr,
+        branch_hs=np.array(HS_LABELS)[i_hs],
+        branch_tr=np.array(TRACE_LABELS)[i_tr],
+        event_records=sorted(records, key=lambda e: (e.p_detected, e.kind, e.norm.value)),
+        unmatched=unmatched,
+    )
 
 
 def d_vs_e_curve(traj: Trajectory, norm: Norm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

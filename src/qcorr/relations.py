@@ -108,8 +108,11 @@ def critical_times(case: RelationCase) -> CriticalTimes:
     return CriticalTimes(tuple(changes), death, changes[0] if single else math.inf)
 
 
-def _branch_index(label: str | None, labels: tuple[str, ...]) -> int:
-    """Index of label in labels, a label table of qcorr.quantifiers."""
+def _branch_index(case: RelationCase, norm: Norm, label: str | None) -> int:
+    """Index of label in the label table of norm; BranchUnknown for a case of the other norm."""
+    if case.norm is not norm:
+        raise BranchUnknown("relation case is for the %s norm, not %s" % (case.norm.value, norm.value))
+    labels = HS_LABELS if norm is Norm.HS else TRACE_LABELS
     if label is None:
         raise BranchUnknown("active branch label is required")
     if label in labels:
@@ -146,9 +149,9 @@ def hs_discord_from_entanglement(E: float, case: RelationCase, branch: str | Non
     Inverts E = (g dec + kept - 1)^2 / 3, over the frame's decaying and kept
     moduli, for the decay factor g and evaluates the branch's distance to the
     corresponding axis.  Valid for p in [0, p_SD] on the branch's own window;
-    outside it WindowViolation is raised.
+    outside it WindowViolation is raised, and BranchUnknown for a trace case.
     """
-    idx = _branch_index(branch, HS_LABELS)
+    idx = _branch_index(case, Norm.HS, branch)
     if E < 0.0:
         raise OutOfRange("entanglement E = %g is negative" % E)
     s, keep, kept, dec, g_sd = case.frame
@@ -173,9 +176,9 @@ def trace_discord_from_concurrence(C: float, case: RelationCase, piece: str | No
     its two X-form terms wins, the concurrence of an entangled Bell-diagonal
     state is half its octahedron margin.  Decaying pieces evaluate |r_i| g(C);
     the preserved piece is the constant plateau.  WindowViolation outside the
-    piece window.
+    piece window; BranchUnknown for an HS case.
     """
-    idx = _branch_index(piece, TRACE_LABELS)
+    idx = _branch_index(case, Norm.TRACE, piece)
     if C < 0.0:
         raise OutOfRange("concurrence C = %g is negative" % C)
     _, _, kept, dec, g_sd = case.frame

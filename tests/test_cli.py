@@ -313,6 +313,20 @@ def test_state_selection_exit2(tmp_path, capsys, state, message):
     assert (code, stdout, stderr) == (2, "", "ConfigError: %s\n" % message) and not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--state", "1,2", "state: expected three comma-separated numbers, got '1,2'"),
+    ("--xstate", "missing.json", "xstate: file '{path}' not found"),
+    ("--xstate", "x.json", "xstate: coherence e is not real; state is not Bell-diagonal"),
+], ids=["state-two-numbers", "xstate-missing", "xstate-complex-e"])
+def test_state_input_errors_exit2(option, value, message, tmp_path, capsys):
+    (tmp_path / "x.json").write_text(json.dumps({"diag": [0.4, 0.1, 0.1, 0.4], "e": [0.3, 0.1], "f": [0.0, 0.0]}))
+    path = str(tmp_path / value) if option == "--xstate" else value
+    out = tmp_path / "t.csv"
+    code, stdout, stderr = run(capsys, "simulate", "--channel", "pd", option, path, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", "ConfigError: %s\n" % message.format(path=path))
+    assert not out.exists()
+
+
 def test_parser_reads_typed_inputs_and_verify_defaults():
     from qcorr.channels import ChannelKind
 

@@ -267,6 +267,19 @@ def test_near_tie_matches_each_analytic_change_once(kind, hs, n_samples):
     assert all(abs(e.p_detected - e.p_analytic) <= 1e-15 for e in traj.event_records)
 
 
+@pytest.mark.parametrize("n_samples", [2, 11, 1001])
+def test_equal_analytic_times_are_matched_one_each(n_samples):
+    # |r1| and |r2| lie one ulp apart, so both cross |r3| at the same analytic
+    # time as a float: each of the two trace detections takes one copy of it
+    from qcorr.relations import RelationCase, critical_times
+
+    r0 = CorrelationVector(0.3, -0.30000000000000004, 0.05)
+    traj = run_trajectory(PD, r0, 1.0, n_samples)
+    assert critical_times(RelationCase(PD, Norm.TRACE, r0)).sudden_changes == (0.591751709536137,) * 2
+    assert [e.p_analytic for e in _changes(traj, Norm.TRACE)] == [0.591751709536137] * 2
+    assert traj.unmatched == []
+
+
 def _death_matched_both_ways(traj) -> bool:
     """No analytic event unmatched, and every detected death matched."""
     return traj.unmatched == [] and all(

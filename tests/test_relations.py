@@ -206,6 +206,19 @@ def test_relation_errors():
         )
 
 
+@pytest.mark.parametrize("fn, case_norm, own", [
+    (hs_discord_from_entanglement, Norm.TRACE, "hs"),
+    (trace_discord_from_concurrence, Norm.HS, "trace"),
+])
+@pytest.mark.parametrize("label", ["D1", "D2", "D3", "r1", "r2", "r3", None])
+def test_inverse_rejects_a_case_of_the_other_norm(fn, case_norm, own, label):
+    # checked before the label, the input value and the frame: any label, even
+    # one valid for the inverse, and a value the inverse would accept
+    message = r"^relation case is for the %s norm, not %s$" % (case_norm.value, own)
+    with pytest.raises(BranchUnknown, match=message):
+        fn(0.1, RelationCase(PD, case_norm, R0), label)
+
+
 @pytest.mark.parametrize("kind", [PD, BF, BPF, PF, DEP])
 @pytest.mark.parametrize("state", [
     REF,
