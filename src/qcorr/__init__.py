@@ -3,7 +3,6 @@ under local decoherence channels, with brute-force verification oracles."""
 
 from .channels import (
     ChannelKind,
-    KrausChannel,
     apply_local_pair,
     decay_factors,
     evolved_vector,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +20,6 @@ from .quantifiers import square
 from .states import SIGMA_1, SIGMA_2, SIGMA_3, CorrelationVector
 
 _I2 = np.eye(2, dtype=complex)
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)          # |0><0|
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)          # |1><1|
-_PPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)       # |+><+|
-_PMINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)    # |-><-|
-_PIPLUS = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)   # |+i><+i|
-_PIMINUS = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)  # |-i><-i|
 
 
 class ChannelKind(enum.Enum):
@@ -56,18 +49,6 @@ DECAY_RATE = {
 }
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    operators: tuple[np.ndarray, ...]
-
-    def completeness_defect(self) -> float:
-        """Max deviation of sum_m K_m^dag K_m from the identity."""
-        acc = np.zeros((2, 2), dtype=complex)
-        for k in self.operators:
-            acc += k.conj().T @ k
-        return float(np.max(np.abs(acc - _I2)))
-
-
 def _check_p(p):
     """p as a float, or as a float array, with every value inside [0, 1]."""
     if isinstance(p, np.ndarray):
@@ -81,8 +62,14 @@ def _check_p(p):
     return p
 
 
-def kraus_for(kind: ChannelKind, p: float) -> KrausChannel:
-    """Kraus operator set of a single-qubit channel with probability p.
+def _projectors(sigma: np.ndarray) -> tuple:
+    """(I + sigma)/2 and (I - sigma)/2, the projectors onto the eigenvectors of sigma."""
+    return (_I2 + sigma) / 2.0, (_I2 - sigma) / 2.0
+
+
+def kraus_for(kind: ChannelKind, p: float) -> np.ndarray:
+    """Kraus operators of a single-qubit channel with probability p, as one
+    read-only (m, 2, 2) array.
 
     Bit flip and bit-phase flip are the phase-damping set conjugated by the
     rotations that map sigma_3 to sigma_1 and sigma_3 to sigma_2, i.e. the
@@ -91,31 +78,34 @@ def kraus_for(kind: ChannelKind, p: float) -> KrausChannel:
     p = _check_p(p)
     sq, sp = math.sqrt(1.0 - p), math.sqrt(p)
     if kind is ChannelKind.PHASE_DAMPING:
-        ops = (sq * _I2, sp * _P0, sp * _P1)
+        ops = (sq * _I2, *(sp * q for q in _projectors(SIGMA_3)))
     elif kind is ChannelKind.BIT_FLIP:
-        ops = (sq * _I2, sp * _PPLUS, sp * _PMINUS)
+        ops = (sq * _I2, *(sp * q for q in _projectors(SIGMA_1)))
     elif kind is ChannelKind.BIT_PHASE_FLIP:
-        ops = (sq * _I2, sp * _PIPLUS, sp * _PIMINUS)
+        ops = (sq * _I2, *(sp * q for q in _projectors(SIGMA_2)))
     elif kind is ChannelKind.PHASE_FLIP:
         ops = (sq * _I2, sp * SIGMA_3)
     elif kind is ChannelKind.DEPOLARIZING:
         sp = math.sqrt(p / 4.0)
         ops = (math.sqrt(1.0 - 0.75 * p) * _I2, sp * SIGMA_1, sp * SIGMA_2, sp * SIGMA_3)
-    else:  # pragma: no cover
+    else:
         raise OutOfRange("unknown channel kind %r" % kind)
-    for op in ops:
-        op.flags.writeable = False
-    return KrausChannel(operators=ops)
+    ops = np.array(ops)
+    ops.flags.writeable = False
+    return ops
 
 
-def apply_local_pair(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    """Kraus sum for the channel acting independently on both qubits."""
+def apply_local_pair(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Kraus sum sum_{m,n} (K_m x K_n) rho (K_m x K_n)^dag of the channel acting
+    independently on both qubits, with ops kraus_for's (m, 2, 2) array.
+
+    rho is one 4x4 matrix or an (N, 4, 4) stack, and the result has its shape.
+    Every K_m x K_n is built at once, and the terms are summed in (m, n) order.
+    """
     rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for km in ch.operators:
-        for kn in ch.operators:
-            k = np.kron(km, kn)
-            out += k @ rho @ k.conj().T
+    # (K_m x K_n)[2i + k, 2j + l] = K_m[i, j] K_n[k, l], row m * len(ops) + n
+    k = (ops[:, None, :, None, :, None] * ops[:, None, :, None, :]).reshape(-1, 4, 4)
+    out = (k @ rho[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
     out.flags.writeable = False
     return out
 

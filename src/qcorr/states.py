@@ -38,10 +38,10 @@ def _where(cond, a, b):
 
 
 def _sqrt_clamped(x):
-    """sqrt(max(x, 0))."""
+    """sqrt(max(x, 0)), NaN kept as NaN in both branches."""
     if isinstance(x, np.ndarray):
         return np.sqrt(np.maximum(x, 0.0))
-    return math.sqrt(x) if x > 0.0 else 0.0
+    return 0.0 if x <= 0.0 else math.sqrt(x)
 
 
 def _modulus(z):
@@ -283,7 +283,12 @@ def bd_to_density(r: CorrelationVector) -> np.ndarray:
 
 
 def density_to_bd(rho: np.ndarray) -> CorrelationVector:
-    """Extract r_j = Tr(rho sigma_j x sigma_j) from a valid density matrix."""
+    """Extract r_j = Tr(rho sigma_j x sigma_j) from a valid density matrix.
+
+    The three traces read only rho's Bell-diagonal part, its components along
+    I and the sigma_j x sigma_j: any other entry, such as a coherence between
+    two Bell states, leaves r unchanged.
+    """
     rho = validate_density(rho)
     r = [float(np.trace(rho @ op).real) for op in SIGMA_PAIR]
     return CorrelationVector(*r)

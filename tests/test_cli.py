@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -315,9 +316,10 @@ def test_state_selection_exit2(tmp_path, capsys, state, message):
 
 @pytest.mark.parametrize("option, value, message", [
     ("--state", "1,2", "state: expected three comma-separated numbers, got '1,2'"),
+    ("--state", "a,b,c", "state: 'a,b,c' is not numeric"),
     ("--xstate", "missing.json", "xstate: file '{path}' not found"),
     ("--xstate", "x.json", "xstate: coherence e is not real; state is not Bell-diagonal"),
-], ids=["state-two-numbers", "xstate-missing", "xstate-complex-e"])
+], ids=["state-two-numbers", "state-not-numeric", "xstate-missing", "xstate-complex-e"])
 def test_state_input_errors_exit2(option, value, message, tmp_path, capsys):
     (tmp_path / "x.json").write_text(json.dumps({"diag": [0.4, 0.1, 0.1, 0.4], "e": [0.3, 0.1], "f": [0.0, 0.0]}))
     path = str(tmp_path / value) if option == "--xstate" else value
@@ -475,6 +477,17 @@ def test_error_exit_codes(error, capsys, monkeypatch):
     assert stderr == "%s: eigensolve failed: did not converge\n" % name
 
 
+@pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
+def test_verify_eigensolve_failure_exit2(solver, capsys, monkeypatch):
+    # eigvalsh serves the trace-norm oracles, eigh the spin-flip concurrence
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    code, stdout, stderr = run(capsys, "verify", "--grid", "3", "--xstates", "2", "--wootters", "2")
+    assert (code, stdout, stderr) == (2, "", "NumericalFailure: eigensolve failed: Eigenvalues did not converge\n")
+
+
 PF3 = ("--channel", "pf", "--state", "0.65,0.59,-0.38", "--samples", "3")
 
 
@@ -620,3 +633,18 @@ def test_module_entry_point(tmp_path, capsys):
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("ConfigError: unknown channel 'amp'")
     assert bad.stderr.count("\n") == 1 and "Traceback" not in bad.stderr
+
+
+def test_module_entry_point_in_process(tmp_path, capsys, monkeypatch):
+    # __main__.py and cli.entry run here, in the test's own process, where the
+    # subprocess above is out of a line trace's sight
+    for name, argv, code, stderr in (
+        ("ok", ("--state", STATE, "--samples", "11"), 0, ""),
+        ("bad", ("--state", "a,b,c"), 2, "ConfigError: state: 'a,b,c' is not numeric\n"),
+    ):
+        out = tmp_path / (name + ".csv")
+        monkeypatch.setattr(sys, "argv", ["qcorr", "simulate", "--channel", "pd", *argv, "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("qcorr", run_name="__main__")
+        assert exited.value.code == code and capsys.readouterr().err == stderr
+        assert out.exists() == (code == 0)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -203,3 +204,31 @@ def test_columns_match_single_states():
     np.testing.assert_array_equal(i_hs, np.argmin(hs_axis_distances(r1, r2, r3), axis=0))
     s_abs = np.abs(np.stack([r1, r2, r3], axis=1))
     np.testing.assert_array_equal(i_tr, np.argsort(s_abs, axis=1, kind="stable")[:, 1])
+
+
+_SPECIAL = (0.25, math.nan, math.inf, 0.0, -0.0)
+
+
+@pytest.mark.parametrize("func, arity, values", [
+    (hs_discord_columns, 3, _SPECIAL + (-0.25, 1.0, -math.inf)),
+    (hs_entanglement_columns, 3, _SPECIAL + (-0.25, 1.0, -math.inf)),
+    (trace_discord_columns, 3, _SPECIAL + (-0.25, 1.0, -math.inf)),
+    (concurrence_columns, 6, _SPECIAL),  # 5 ** 6 = 15,625 rows
+], ids=lambda v: getattr(v, "__name__", None))
+def test_number_and_array_paths_agree_on_special_values(func, arity, values):
+    # One number call per input against one array call with an input per row,
+    # each row computed on its own: equal values and indices, NaN in the same
+    # places and the same sign bit: concurrence_columns(0.25, 0.25, 0.25, nan,
+    # 0.25, 0.25) is (0.0, 0) both ways, not (0.5, 2), "entangled", for numbers.
+    rows = list(itertools.product(values, repeat=arity))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are NaN in both paths
+        columns = func(*(np.array(c) for c in zip(*rows)))
+    numbers = [func(*row) for row in rows]
+    if not isinstance(columns, tuple):
+        columns, numbers = (columns,), [(n,) for n in numbers]
+    for k, column in enumerate(columns):
+        number = np.array([n[k] for n in numbers], dtype=column.dtype)
+        assert column.shape == number.shape
+        np.testing.assert_array_equal(np.isnan(column), np.isnan(number))
+        np.testing.assert_array_equal(np.signbit(column), np.signbit(number))
+        np.testing.assert_array_equal(column, number)  # NaN equal to NaN
